@@ -22,7 +22,7 @@ func runBatch(o runOpts) error {
 	if o.devName != "reference" {
 		return fmt.Errorf("-batch supervises only -device reference (got %q)", o.devName)
 	}
-	method, err := parseMethod(o.method, o.precision)
+	base, err := runConfig(o)
 	if err != nil {
 		return err
 	}
@@ -33,10 +33,7 @@ func runBatch(o runOpts) error {
 
 	reps := make([]fleet.Replica, o.batch)
 	for i := range reps {
-		cfg, err := buildRunConfig(o, method, nil)
-		if err != nil {
-			return err
-		}
+		cfg := base
 		cfg.Seed = core.StdSeed + uint64(i)
 		if i == 0 {
 			cfg.Faults = inj

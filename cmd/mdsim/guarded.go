@@ -2,56 +2,24 @@ package main
 
 import (
 	"fmt"
-	"math"
-	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/guard"
-	"repro/internal/lattice"
 	"repro/internal/mdrun"
 )
 
 // runGuarded executes the reference simulation under the resilient run
 // supervisor: numerical-health watchdog, atomic checkpoint/rollback
 // recovery, and the retry → halve-dt → serial escalation ladder.
-func runGuarded(o runOpts) (err error) {
-	if o.devName != "reference" {
-		return fmt.Errorf("-guard supervises only -device reference (got %q)", o.devName)
-	}
-	method, err := parseMethod(o.method, o.precision)
-	if err != nil {
-		return err
-	}
+func runGuarded(o runOpts, cfg mdrun.Config) error {
 	inj, err := parseInject(o.inject)
 	if err != nil {
 		return err
 	}
-
-	cfg, err := buildRunConfig(o, method, inj)
-	if err != nil {
-		return err
-	}
-	if o.dump != "" {
-		f, ferr := os.Create(o.dump)
-		if ferr != nil {
-			return ferr
-		}
-		// Same contract as runReference: a trajectory that failed to
-		// reach the disk fails the run.
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("closing trajectory %s: %w", o.dump, cerr)
-			}
-		}()
-		cfg.Trajectory = f
-		if o.dumpEvery >= 1 {
-			cfg.TrajectoryEvery = o.dumpEvery
-		}
-	}
-
+	cfg.Faults = inj
 	sup, err := guard.New(guard.Config{
 		Run:             cfg,
 		CheckpointDir:   o.ckptDir,
@@ -77,73 +45,6 @@ func runGuarded(o runOpts) (err error) {
 	fmt.Printf("temperature: %.4f (target %.4f)\n", sum.MeanTemperature, core.StdTemperature)
 	fmt.Printf("pressure:    %.4f\n", sum.Pressure)
 	return nil
-}
-
-// buildRunConfig assembles the standard-workload mdrun config the
-// guarded and batch modes share: the paper's LJ argon state with the
-// StandardWorkload small-system cutoff reduction.
-func buildRunConfig(o runOpts, method mdrun.ForceMethod, inj faults.Injector) (mdrun.Config, error) {
-	cfg := mdrun.Config{
-		Atoms: o.atoms, Density: core.StdDensity, Temperature: core.StdTemperature,
-		Lattice: lattice.FCC, Seed: core.StdSeed,
-		Cutoff: core.StdCutoff, Dt: core.StdDt,
-		Method: method, Workers: o.workers, PairlistSkin: o.skin,
-		Faults: inj,
-	}
-	// Match StandardWorkload's small-system cutoff reduction.
-	if box := math.Cbrt(float64(o.atoms) / core.StdDensity); 2*cfg.Cutoff > box {
-		cfg.Cutoff = box / 2 * 0.99
-	}
-	switch o.thermostat {
-	case "":
-		cfg.Thermostat = mdrun.NVE
-	case "rescale":
-		cfg.Thermostat = mdrun.Rescale
-	case "berendsen":
-		cfg.Thermostat = mdrun.Berendsen
-	default:
-		return mdrun.Config{}, fmt.Errorf("unknown thermostat %q (want rescale|berendsen)", o.thermostat)
-	}
-	return cfg, nil
-}
-
-// parseMethod maps the -method and -precision flags to an mdrun force
-// method; -precision f32 selects the mixed-precision variant of the
-// pair-kernel methods (the guard's escalation ladder then stays on the
-// f32 ladder: ParallelPairlistF32 degrades to PairlistF32, never
-// silently to float64).
-func parseMethod(s, precision string) (mdrun.ForceMethod, error) {
-	if precision == "f32" {
-		switch s {
-		case "pairlist":
-			return mdrun.PairlistF32, nil
-		case "parpairlist":
-			return mdrun.ParallelPairlistF32, nil
-		case "cellgrid":
-			return mdrun.CellGridF32, nil
-		default:
-			return 0, fmt.Errorf("-precision f32 supports -method pairlist|parpairlist|cellgrid, got %q", s)
-		}
-	}
-	if precision != "" && precision != "f64" {
-		return 0, fmt.Errorf("-precision %q: want f64|f32", precision)
-	}
-	switch s {
-	case "direct", "":
-		return mdrun.Direct, nil
-	case "pairlist":
-		return mdrun.Pairlist, nil
-	case "cellgrid":
-		return mdrun.CellGrid, nil
-	case "pardirect":
-		return mdrun.ParallelDirect, nil
-	case "parpairlist":
-		return mdrun.ParallelPairlist, nil
-	case "parcellgrid":
-		return mdrun.ParallelCellGrid, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q (want direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid)", s)
-	}
 }
 
 // parseInject translates comma-separated fault specs into an armed

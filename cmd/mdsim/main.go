@@ -15,22 +15,31 @@
 //	      -inject nan-forces@25   # supervised run with fault injection
 //	mdsim -batch 8 -max-inflight 4 -replica-timeout 30s \
 //	      -inject nan-forces@25   # replica fleet; the fault hits replica 0 only
+//
+// Every host mode (reference, -guard, -batch) runs through mdrun, so
+// the same -method, -precision and -workers step the same kernels in
+// each. The method names are mdrun's method table (mdrun.ParseMethod).
+// Trajectory frames follow mdrun's run-local step count: after
+// -load-checkpoint, -dump-every counts from the resume point, not from
+// the checkpoint's absolute step number.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/lattice"
 	"repro/internal/md"
+	"repro/internal/mdrun"
 	"repro/internal/mta"
 	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/vec"
 )
 
 func main() {
@@ -46,8 +55,8 @@ func main() {
 		dump      = flag.String("dump", "", "reference: write an XYZ trajectory to this file")
 		every     = flag.Int("dump-every", 10, "reference: frames written every N steps")
 		thermo    = flag.String("thermostat", "", "reference: ''|rescale|berendsen (hold the standard temperature)")
-		method    = flag.String("method", "direct", "reference: direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid force evaluation")
-		precision = flag.String("precision", "f64", "reference: f64|f32 kernel precision (f32: float32 pair geometry, float64 accumulation; pairlist|parpairlist|cellgrid only)")
+		method    = flag.String("method", "direct", "reference: "+mdrun.MethodNames("f64")+" force evaluation")
+		precision = flag.String("precision", "f64", "reference: f64|f32 kernel precision (f32: float32 pair geometry, float64 accumulation; "+mdrun.MethodNames("f32")+" only)")
 		workers   = flag.Int("workers", 0, "reference: host worker pool for the par* methods (0 = one per CPU)")
 		skin      = flag.Float64("skin", 0.4, "reference: Verlet-list skin width for the pairlist methods")
 		saveCkpt  = flag.String("save-checkpoint", "", "reference: write a restart file after the run")
@@ -66,8 +75,8 @@ func main() {
 	o := runOpts{
 		devName: *devName, atoms: *atoms, steps: *steps, nspe: *nspe,
 		mode: *mode, ppeOnly: *ppeOnly, threading: *threading, validate: *validate,
-		dump: *dump, dumpEvery: *every, thermostat: *thermo, method: *method,
-		precision: *precision,
+		dump: *dump, dumpEvery: *every, thermostat: *thermo,
+		method: *method, precision: *precision,
 		workers: *workers, skin: *skin, saveCkpt: *saveCkpt, loadCkpt: *loadCkpt,
 		guard: *guarded, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 		maxRetries: *retries, inject: *inject,
@@ -96,16 +105,9 @@ func validateOpts(o runOpts) error {
 	if !(o.skin > 0) {
 		return fmt.Errorf("-skin %v: want a positive skin width", o.skin)
 	}
-	switch o.precision {
-	case "", "f64":
-	case "f32":
-		switch o.method {
-		case "pairlist", "parpairlist", "cellgrid":
-		default:
-			return fmt.Errorf("-precision f32 supports -method pairlist|parpairlist|cellgrid, got %q", o.method)
-		}
-	default:
-		return fmt.Errorf("-precision %q: want f64|f32", o.precision)
+	// Method, precision and thermostat names must be in mdrun's tables.
+	if _, err := runConfig(o); err != nil {
+		return err
 	}
 	if o.ckptEvery < 1 {
 		return fmt.Errorf("-checkpoint-every %d: want a positive step interval", o.ckptEvery)
@@ -164,17 +166,13 @@ func run(o runOpts) error {
 	if o.batch > 0 {
 		return runBatch(o)
 	}
-	if o.guard {
-		return runGuarded(o)
+	if o.guard || o.devName == "reference" {
+		return runHost(o)
 	}
 
 	w, err := core.StandardWorkload(o.atoms, o.steps)
 	if err != nil {
 		return err
-	}
-
-	if o.devName == "reference" {
-		return runReference(w, o)
 	}
 
 	dev, tol, err := buildDevice(o.devName, o.nspe, o.mode, o.ppeOnly, o.threading)
@@ -204,53 +202,17 @@ func run(o runOpts) error {
 	return nil
 }
 
-func runReference(w device.Workload, o runOpts) (err error) {
-	var sys *md.System[float64]
-	if o.loadCkpt != "" {
-		f, err := os.Open(o.loadCkpt)
-		if err != nil {
-			return err
-		}
-		sys, err = md.ReadCheckpoint(f)
-		_ = f.Close() // read path; the checkpoint CRC already vouched for the payload
-		if err != nil {
-			return err
-		}
-		fmt.Printf("resumed from %s at step %d (%d atoms)\n", o.loadCkpt, sys.Steps, sys.N())
-	} else {
-		p := md.Params[float64]{Box: w.State.Box, Cutoff: w.Cutoff, Dt: w.Dt}
-		var err error
-		sys, err = md.NewSystem(w.State, p)
-		if err != nil {
-			return err
-		}
+// runHost runs the host MD engine through mdrun: directly, or under the
+// guard supervisor with -guard. Both modes take the same runConfig, so
+// the same flags step the same kernels in either.
+func runHost(o runOpts) (err error) {
+	if o.devName != "reference" {
+		return fmt.Errorf("-guard supervises only -device reference (got %q)", o.devName)
 	}
-	forces, closeForces, err := buildForces(sys, o.method, o.precision, o.workers, o.skin)
+	cfg, err := runConfig(o)
 	if err != nil {
 		return err
 	}
-	defer closeForces()
-	switch o.method {
-	case "pardirect", "parpairlist", "parcellgrid":
-		fmt.Printf("force method: %s, %d host workers\n", o.method, parallel.ClampWorkers(o.workers))
-	}
-	if o.precision == "f32" {
-		fmt.Println("precision: f32 pair kernel, f64 accumulation (master state f64)")
-	}
-	var th md.Thermostat[float64]
-	switch o.thermostat {
-	case "":
-	case "rescale":
-		th, err = md.NewRescaleThermostat(core.StdTemperature, 10)
-	case "berendsen":
-		th, err = md.NewBerendsenThermostat(core.StdTemperature, w.Dt, 0.1)
-	default:
-		return fmt.Errorf("unknown thermostat %q (want rescale|berendsen)", o.thermostat)
-	}
-	if err != nil {
-		return err
-	}
-	var traj *md.XYZWriter
 	if o.dump != "" {
 		f, ferr := os.Create(o.dump)
 		if ferr != nil {
@@ -263,39 +225,92 @@ func runReference(w device.Workload, o runOpts) (err error) {
 				err = fmt.Errorf("closing trajectory %s: %w", o.dump, cerr)
 			}
 		}()
-		traj = md.NewXYZWriter(f, "Ar")
-		if o.dumpEvery < 1 {
-			o.dumpEvery = 1
-		}
+		cfg.Trajectory = f
 	}
-	e0 := sys.TotalEnergy()
-	for s := 0; s < w.Steps; s++ {
-		sys.StepWith(forces)
-		if th != nil {
-			th.Apply(sys.Vel, sys.Temperature())
-			sys.KE = md.KineticEnergy(sys.Vel)
-		}
-		if traj != nil && sys.Steps%o.dumpEvery == 0 {
-			if err := traj.WriteFrame(fmt.Sprintf("step %d PE %.6f KE %.6f", sys.Steps, sys.PE, sys.KE), sys.Pos); err != nil {
-				return err
-			}
-		}
+	if o.guard {
+		return runGuarded(o, cfg)
 	}
-	if traj != nil {
-		if err := traj.Flush(); err != nil {
+	return runReference(o, cfg)
+}
+
+// runConfig assembles the mdrun config every host mode shares: the
+// paper's LJ argon state with StandardWorkload's small-system cutoff
+// reduction, and the method and thermostat the flags name.
+func runConfig(o runOpts) (mdrun.Config, error) {
+	method, err := mdrun.ParseMethod(o.method, o.precision)
+	if err != nil {
+		return mdrun.Config{}, err
+	}
+	thermostat, err := mdrun.ParseThermostat(o.thermostat)
+	if err != nil {
+		return mdrun.Config{}, err
+	}
+	cfg := mdrun.Config{
+		Atoms: o.atoms, Density: core.StdDensity, Temperature: core.StdTemperature,
+		Lattice: lattice.FCC, Seed: core.StdSeed,
+		Cutoff: core.StdCutoff, Dt: core.StdDt,
+		Method: method, Workers: o.workers, PairlistSkin: o.skin,
+		Thermostat: thermostat,
+	}
+	if box := math.Cbrt(float64(o.atoms) / core.StdDensity); 2*cfg.Cutoff > box {
+		cfg.Cutoff = box / 2 * 0.99
+	}
+	if o.dumpEvery >= 1 {
+		cfg.TrajectoryEvery = o.dumpEvery
+	}
+	return cfg, nil
+}
+
+// runReference runs cfg unsupervised, from the standard lattice or
+// from -load-checkpoint, and optionally saves the final state.
+func runReference(o runOpts, cfg mdrun.Config) error {
+	var r *mdrun.Runner
+	if o.loadCkpt != "" {
+		f, err := os.Open(o.loadCkpt)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("trajectory: %d frames -> %s\n", traj.Frames(), o.dump)
-	}
-	fmt.Printf("reference MD: %d atoms, %d steps, box %.4g, cutoff %.3g\n", sys.N(), w.Steps, w.State.Box, w.Cutoff)
-	fmt.Printf("energy:      PE %.6f  KE %.6f  total %.6f\n", sys.PE, sys.KE, sys.TotalEnergy())
-	fmt.Printf("temperature: %.4f (target %.4f)\n", sys.Temperature(), core.StdTemperature)
-	if th == nil {
-		fmt.Printf("energy drift over run: %.3g (relative)\n",
-			abs((sys.TotalEnergy()-e0)/e0))
+		sys, err := md.ReadCheckpoint(f)
+		_ = f.Close() // read path; the checkpoint CRC already vouched for the payload
+		if err != nil {
+			return err
+		}
+		fmt.Printf("resumed from %s at step %d (%d atoms)\n", o.loadCkpt, sys.Steps, sys.N())
+		// The checkpoint keeps its own numerics: NewFromSystem takes
+		// Cutoff, Dt and Shifted from cfg, so pass the loaded values.
+		cfg.Cutoff, cfg.Dt, cfg.Shifted = sys.P.Cutoff, sys.P.Dt, sys.P.Shifted
+		if r, err = mdrun.NewFromSystem(sys, cfg); err != nil {
+			return err
+		}
 	} else {
-		fmt.Printf("energy change from thermostat coupling: %.3g (relative; not integrator drift)\n",
-			abs((sys.TotalEnergy()-e0)/e0))
+		var err error
+		if r, err = mdrun.New(cfg); err != nil {
+			return err
+		}
+	}
+	defer r.Close()
+	if cfg.Method.Serial() != cfg.Method {
+		fmt.Printf("force method: %v, %d host workers\n", cfg.Method, parallel.ClampWorkers(cfg.Workers))
+	}
+	if o.precision == "f32" {
+		fmt.Println("precision: f32 pair kernel, f64 accumulation (master state f64)")
+	}
+	sum, err := r.Run(o.steps)
+	if err != nil {
+		return err
+	}
+	if o.dump != "" {
+		fmt.Printf("trajectory: %d frames -> %s\n", sum.FramesWritten, o.dump)
+	}
+	sys := r.System()
+	fmt.Printf("reference MD: %d atoms, %d steps, box %.4g, cutoff %.3g\n", sys.N(), sum.Steps, sys.P.Box, sys.P.Cutoff)
+	fmt.Printf("energy:      PE %.6f  KE %.6f  total %.6f\n", sys.PE, sys.KE, sys.TotalEnergy())
+	fmt.Printf("temperature: %.4f (target %.4f)\n", sys.Temperature(), cfg.Temperature)
+	drift := math.Abs((sum.FinalEnergy - sum.InitialEnergy) / sum.InitialEnergy)
+	if cfg.Thermostat == mdrun.NVE {
+		fmt.Printf("energy drift over run: %.3g (relative)\n", drift)
+	} else {
+		fmt.Printf("energy change from thermostat coupling: %.3g (relative; not integrator drift)\n", drift)
 	}
 	mom := sys.Momentum()
 	fmt.Printf("net momentum: (%.2e, %.2e, %.2e)\n", mom.X, mom.Y, mom.Z)
@@ -314,101 +329,6 @@ func runReference(w device.Workload, o runOpts) (err error) {
 		fmt.Printf("checkpoint: step %d -> %s\n", sys.Steps, o.saveCkpt)
 	}
 	return nil
-}
-
-// buildForces selects the non-bonded force evaluation for the
-// reference device. The par* methods shard the kernel across a host
-// worker pool (workers = 0 means one per CPU); the pairlist methods
-// take the Verlet skin width from -skin; precision "f32" swaps in the
-// mixed-precision fast path (float32 pair geometry over a narrowed
-// mirror, float64 accumulation into the master state); the returned
-// close function releases the pool and is a no-op for the serial
-// methods.
-func buildForces(sys *md.System[float64], method, precision string, workers int, skin float64) (func() float64, func(), error) {
-	noop := func() {}
-	if precision != "" && precision != "f64" && precision != "f32" {
-		return nil, nil, fmt.Errorf("-precision %q: want f64|f32", precision)
-	}
-	if precision == "f32" {
-		mx, err := md.NewMirror32(sys.P)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch method {
-		case "pairlist":
-			nl, err := md.NewNeighborList[float32](vec.Narrow[float32](skin))
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() float64 {
-				mx.RefreshSystem(sys)
-				return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, sys.Acc)
-			}, noop, nil
-		case "parpairlist":
-			nl, err := md.NewNeighborList[float32](vec.Narrow[float32](skin))
-			if err != nil {
-				return nil, nil, err
-			}
-			e := parallel.New[float64](workers)
-			return func() float64 {
-				mx.RefreshSystem(sys)
-				return e.ForcesPairlistF32(nl, mx.P, mx.Pos, sys.Acc)
-			}, e.Close, nil
-		case "cellgrid":
-			cl, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() float64 {
-				mx.RefreshSystem(sys)
-				return md.ForcesCellMixed(cl, mx.P, mx.Pos, sys.Acc)
-			}, noop, nil
-		default:
-			return nil, nil, fmt.Errorf("-precision f32 supports pairlist|parpairlist|cellgrid, got %q", method)
-		}
-	}
-	switch method {
-	case "direct", "":
-		return func() float64 { return md.ComputeForces(sys.P, sys.Pos, sys.Acc) }, noop, nil
-	case "pairlist":
-		nl, err := md.NewNeighborList[float64](skin)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }, noop, nil
-	case "cellgrid":
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }, noop, nil
-	case "pardirect":
-		e := parallel.New[float64](workers)
-		return func() float64 { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }, e.Close, nil
-	case "parpairlist":
-		nl, err := md.NewNeighborList[float64](skin)
-		if err != nil {
-			return nil, nil, err
-		}
-		e := parallel.New[float64](workers)
-		return func() float64 { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, e.Close, nil
-	case "parcellgrid":
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, nil, err
-		}
-		e := parallel.New[float64](workers)
-		return func() float64 { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, e.Close, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown method %q (want direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid)", method)
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func buildDevice(name string, nspe int, mode string, ppeOnly bool, threading string) (device.Device, float64, error) {

@@ -90,9 +90,8 @@ func TestReferenceMixedPrecision(t *testing.T) {
 }
 
 func TestGuardedAndBatchMixedPrecision(t *testing.T) {
-	// -guard and -batch route through parseMethod, not buildForces:
-	// -precision f32 must select the F32 mdrun methods there too, not
-	// silently fall back to float64.
+	// -precision f32 must select the F32 mdrun methods under -guard
+	// and -batch too, not silently fall back to float64.
 	o := opts("reference")
 	o.atoms = 256
 	o.method = "parpairlist"

@@ -21,7 +21,7 @@ import (
 var Precision = &Analyzer{
 	Name:  "precision",
 	Doc:   "unannotated float64↔float32 conversion in a kernel package",
-	Scope: []string{"vec", "spu", "brook", "gpu", "cell", "parallel"},
+	Scope: []string{"vec", "spu", "gpu", "cell", "parallel"},
 	Run:   runPrecision,
 }
 

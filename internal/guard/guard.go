@@ -431,29 +431,9 @@ func (s *Supervisor) rung(attempt int) (mdrun.Config, sim.Incident) {
 		return c, sim.IncidentDtHalved
 	default:
 		c := s.cur
-		c.Method = SerialOf(s.base.Method)
+		c.Method = s.base.Method.Serial()
 		c.Dt = s.base.Dt
 		return c, sim.IncidentSerialFallback
-	}
-}
-
-// SerialOf maps a force method to its serial equivalent (serial
-// methods map to themselves) — the last rung of the escalation ladder.
-func SerialOf(m mdrun.ForceMethod) mdrun.ForceMethod {
-	switch m {
-	case mdrun.ParallelDirect:
-		return mdrun.Direct
-	case mdrun.ParallelPairlist:
-		return mdrun.Pairlist
-	case mdrun.ParallelCellGrid:
-		return mdrun.CellGrid
-	case mdrun.ParallelPairlistF32:
-		// The serial rung keeps the requested precision: a run that
-		// finishes on this rung is still the mixed-precision run the
-		// user asked for, just unsharded.
-		return mdrun.PairlistF32
-	default:
-		return m
 	}
 }
 

@@ -397,29 +397,6 @@ func TestBackoffDoubles(t *testing.T) {
 	}
 }
 
-// TestSerialOf pins the escalation method mapping.
-func TestSerialOf(t *testing.T) {
-	cases := map[mdrun.ForceMethod]mdrun.ForceMethod{
-		mdrun.Direct:           mdrun.Direct,
-		mdrun.Pairlist:         mdrun.Pairlist,
-		mdrun.CellGrid:         mdrun.CellGrid,
-		mdrun.ParallelDirect:   mdrun.Direct,
-		mdrun.ParallelPairlist: mdrun.Pairlist,
-		mdrun.ParallelCellGrid: mdrun.CellGrid,
-		// The escalation ladder preserves the requested precision:
-		// mixed-precision runs land on the serial mixed kernel, never
-		// silently back on float64.
-		mdrun.PairlistF32:         mdrun.PairlistF32,
-		mdrun.CellGridF32:         mdrun.CellGridF32,
-		mdrun.ParallelPairlistF32: mdrun.PairlistF32,
-	}
-	for in, want := range cases {
-		if got := SerialOf(in); got != want {
-			t.Errorf("SerialOf(%v) = %v, want %v", in, got, want)
-		}
-	}
-}
-
 // TestSupervisorSingleUse: a second Run must refuse cleanly.
 func TestSupervisorSingleUse(t *testing.T) {
 	sup, err := New(Config{Run: baseRun(mdrun.Direct, 108, 1)})

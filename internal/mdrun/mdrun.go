@@ -20,96 +20,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/md"
 	"repro/internal/parallel"
-	"repro/internal/vec"
 )
-
-// ForceMethod selects the non-bonded force evaluation.
-type ForceMethod int
-
-const (
-	// Direct is the paper's kernel: O(N²), distances on the fly.
-	Direct ForceMethod = iota
-	// Pairlist is the Verlet neighbor list (cutoff + skin).
-	Pairlist
-	// CellGrid is the linked-cell O(N) method.
-	CellGrid
-	// ParallelDirect is Direct sharded across Config.Workers host
-	// threads (atom-range sharding over the full-loop layout).
-	ParallelDirect
-	// ParallelPairlist is Pairlist sharded by pair chunks with
-	// per-worker accumulators.
-	ParallelPairlist
-	// ParallelCellGrid is CellGrid sharded by cell ranges.
-	ParallelCellGrid
-	// PairlistF32 is the mixed-precision Verlet list: pair geometry
-	// and the LJ evaluation at float32 over a narrowed position
-	// mirror, per-atom force and energy accumulation at float64. The
-	// master state — integration, thermostat, checkpoints — stays
-	// float64.
-	PairlistF32
-	// ParallelPairlistF32 is PairlistF32 sharded by atom ranges with
-	// full-row gather; its output bytes are independent of Workers.
-	ParallelPairlistF32
-	// CellGridF32 is the mixed-precision linked-cell method.
-	CellGridF32
-)
-
-// String implements fmt.Stringer.
-func (f ForceMethod) String() string {
-	switch f {
-	case Direct:
-		return "direct"
-	case Pairlist:
-		return "pairlist"
-	case CellGrid:
-		return "cellgrid"
-	case ParallelDirect:
-		return "pardirect"
-	case ParallelPairlist:
-		return "parpairlist"
-	case ParallelCellGrid:
-		return "parcellgrid"
-	case PairlistF32:
-		return "pairlist-f32"
-	case ParallelPairlistF32:
-		return "parpairlist-f32"
-	case CellGridF32:
-		return "cellgrid-f32"
-	default:
-		return fmt.Sprintf("ForceMethod(%d)", int(f))
-	}
-}
-
-// ThermostatKind selects temperature control.
-type ThermostatKind int
-
-const (
-	// NVE runs without a thermostat (constant energy).
-	NVE ThermostatKind = iota
-	// Rescale hard-rescales to the target every RescaleInterval steps.
-	Rescale
-	// Berendsen couples weakly with time constant Tau.
-	Berendsen
-	// Langevin couples stochastically with friction Gamma (canonical
-	// sampling; noise stream seeded from Config.Seed+1).
-	Langevin
-)
-
-// String implements fmt.Stringer.
-func (t ThermostatKind) String() string {
-	switch t {
-	case NVE:
-		return "nve"
-	case Rescale:
-		return "rescale"
-	case Berendsen:
-		return "berendsen"
-	case Langevin:
-		return "langevin"
-	default:
-		return fmt.Sprintf("ThermostatKind(%d)", int(t))
-	}
-}
 
 // Config describes a full simulation.
 type Config struct {
@@ -130,10 +41,14 @@ type Config struct {
 	PairlistSkin float64 // used by Pairlist (default 0.4)
 	// Workers sizes the host worker pool for the Parallel* methods:
 	// 0 means one per CPU, negative clamps to 1, huge counts clamp to
-	// parallel.MaxWorkers. Workers=1 routes to the corresponding serial
-	// kernel, byte for byte — except ParallelPairlistF32, whose gather
-	// kernel produces the same bytes for every worker count and
-	// therefore always runs on the pool. Ignored by the serial methods.
+	// parallel.MaxWorkers. Workers=1 runs without a pool, on a serial
+	// kernel: ParallelDirect on ComputeForcesFull (the full-loop layout
+	// the engine shards, not Direct's half loop), ParallelPairlist on
+	// Pairlist's kernel, and ParallelCellGrid on CellGrid's kernel,
+	// whose bytes differ from the engine's one-worker cell kernel.
+	// ParallelPairlistF32 always runs on the pool: its gather kernel
+	// produces the same bytes for every worker count. Ignored by the
+	// serial methods.
 	Workers int
 	// BuildEngine, when non-nil, is a shared worker pool used for
 	// neighbor-list builds by the Pairlist, ParallelPairlist,
@@ -348,196 +263,6 @@ func assemble(cfg Config, sys *md.System[float64]) (*Runner, error) {
 	}
 	r.msd = md.NewMSD(sys.P.Box, sys.Pos)
 	return r, nil
-}
-
-// buildForces wires the selected non-bonded method on the
-// error-returning kernel path (serial kernels cannot fail; parallel
-// kernels surface worker faults as errors). For the Parallel* methods
-// a Workers count of 1 routes straight to the corresponding serial
-// kernel (the parallel kernels are bitwise identical at one worker,
-// but the serial path spawns no pool at all).
-func (r *Runner) buildForces() (func() (float64, error), error) {
-	sys := r.sys
-	infallible := func(f func() float64) func() (float64, error) {
-		return func() (float64, error) { return f(), nil }
-	}
-	switch r.cfg.Method {
-	case Direct:
-		return infallible(func() float64 { return md.ComputeForces(sys.P, sys.Pos, sys.Acc) }), nil
-	case Pairlist:
-		nl, err := md.NewNeighborList[float64](r.cfg.PairlistSkin)
-		if err != nil {
-			return nil, err
-		}
-		if build := r.sharedBuild(nl); build != nil {
-			return func() (float64, error) {
-				if err := build(); err != nil {
-					return 0, err
-				}
-				return nl.Forces(sys.P, sys.Pos, sys.Acc), nil
-			}, nil
-		}
-		return infallible(func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
-	case CellGrid:
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, err
-		}
-		return infallible(func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
-	case ParallelDirect:
-		if r.cfg.Workers == 1 {
-			return infallible(func() float64 { return md.ComputeForcesFull(sys.P, sys.Pos, sys.Acc) }), nil
-		}
-		r.newEngine()
-		return func() (float64, error) { return r.engine.TryForcesDirect(sys.P, sys.Pos, sys.Acc) }, nil
-	case ParallelPairlist:
-		nl, err := md.NewNeighborList[float64](r.cfg.PairlistSkin)
-		if err != nil {
-			return nil, err
-		}
-		build := r.sharedBuild(nl)
-		if r.cfg.Workers == 1 {
-			if build != nil {
-				return func() (float64, error) {
-					if err := build(); err != nil {
-						return 0, err
-					}
-					return nl.Forces(sys.P, sys.Pos, sys.Acc), nil
-				}, nil
-			}
-			return infallible(func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
-		}
-		r.newEngine()
-		if build != nil {
-			return func() (float64, error) {
-				if err := build(); err != nil {
-					return 0, err
-				}
-				return r.engine.TryForcesPairlist(nl, sys.P, sys.Pos, sys.Acc)
-			}, nil
-		}
-		return func() (float64, error) { return r.engine.TryForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, nil
-	case ParallelCellGrid:
-		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
-		if err != nil {
-			return nil, err
-		}
-		if r.cfg.Workers == 1 {
-			return infallible(func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }), nil
-		}
-		r.newEngine()
-		return func() (float64, error) { return r.engine.TryForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, nil
-	case PairlistF32:
-		mx, nl, err := r.newMixedPairlist()
-		if err != nil {
-			return nil, err
-		}
-		build := r.sharedBuildF32(nl, mx)
-		return func() (float64, error) {
-			mx.RefreshSystem(sys)
-			if build != nil {
-				if err := build(); err != nil {
-					return 0, err
-				}
-			}
-			return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, sys.Acc), nil
-		}, nil
-	case ParallelPairlistF32:
-		mx, nl, err := r.newMixedPairlist()
-		if err != nil {
-			return nil, err
-		}
-		build := r.sharedBuildF32(nl, mx)
-		// No Workers==1 serial rerouting here: the gather kernel's
-		// output bytes are worker-count-independent by design (one
-		// worker runs it inline with no pool), and routing to the
-		// serial scatter kernel would break exactly that pin.
-		r.newEngine()
-		return func() (float64, error) {
-			mx.RefreshSystem(sys)
-			if build != nil {
-				if err := build(); err != nil {
-					return 0, err
-				}
-			}
-			return r.engine.TryForcesPairlistF32(nl, mx.P, mx.Pos, sys.Acc)
-		}, nil
-	case CellGridF32:
-		mx, err := md.NewMirror32(sys.P)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
-		if err != nil {
-			return nil, err
-		}
-		return func() (float64, error) {
-			mx.RefreshSystem(sys)
-			return md.ForcesCellMixed(cl, mx.P, mx.Pos, sys.Acc), nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("mdrun: unknown force method %d", int(r.cfg.Method))
-	}
-}
-
-// sharedBuild returns a pre-forces hook that keeps nl fresh through
-// the shared Config.BuildEngine, or nil when no shared engine is
-// configured (the force path then rebuilds on its own). The hook
-// passes the current Run's context, so a cancelled replica abandons
-// its build (list left stale-but-consistent) without disturbing other
-// runners on the same pool.
-func (r *Runner) sharedBuild(nl *md.NeighborList[float64]) func() error {
-	be := r.cfg.BuildEngine
-	if be == nil {
-		return nil
-	}
-	sys := r.sys
-	return func() error {
-		if nl.Stale(sys.P, sys.Pos) {
-			return be.BuildPairlist(r.runCtx, nl, sys.P, sys.Pos)
-		}
-		return nil
-	}
-}
-
-// newMixedPairlist builds the float32 mirror and neighbor list the
-// mixed-precision pairlist methods share. NewMirror32 validates the
-// narrowed parameters, so a configuration whose box/cutoff pair does
-// not survive rounding to float32 fails here instead of mid-run.
-func (r *Runner) newMixedPairlist() (*md.Mirror32, *md.NeighborList[float32], error) {
-	mx, err := md.NewMirror32(r.sys.P)
-	if err != nil {
-		return nil, nil, err
-	}
-	nl, err := md.NewNeighborList[float32](vec.Narrow[float32](r.cfg.PairlistSkin))
-	if err != nil {
-		return nil, nil, err
-	}
-	return mx, nl, nil
-}
-
-// sharedBuildF32 is sharedBuild for the mixed-precision list: stale
-// rebuilds route through the lent engine's BuildPairlistF32 (bitwise
-// sharding-independent, like the float64 build). Callers must Refresh
-// the mirror before invoking the returned hook.
-func (r *Runner) sharedBuildF32(nl *md.NeighborList[float32], mx *md.Mirror32) func() error {
-	be := r.cfg.BuildEngine
-	if be == nil {
-		return nil
-	}
-	return func() error {
-		if nl.Stale(mx.P, mx.Pos) {
-			return be.BuildPairlistF32(r.runCtx, nl, mx.P, mx.Pos)
-		}
-		return nil
-	}
-}
-
-// newEngine builds the worker pool and arms it with the configured
-// fault injector.
-func (r *Runner) newEngine() {
-	r.engine = parallel.New[float64](r.cfg.Workers)
-	r.engine.SetInjector(r.cfg.Faults)
 }
 
 // Close releases the parallel worker pool, if any. The Runner must not

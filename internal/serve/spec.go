@@ -63,10 +63,9 @@ type Spec struct {
 	// r_c); the default is the paper's plain truncated form.
 	Shifted bool `json:"shifted,omitempty"`
 
-	// Method selects the force kernel:
-	// direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid
-	// (default direct). Precision f32 swaps in the mixed-precision
-	// variants of the pair-kernel methods, exactly as mdsim -precision.
+	// Method and Precision select the force kernel by its name in
+	// mdrun's method table (see mdrun.ParseMethod; default direct at
+	// f64), exactly as mdsim -method and -precision do.
 	Method    string `json:"method,omitempty"`
 	Precision string `json:"precision,omitempty"`
 	// Workers sizes the host pool for the par* methods; 0 lets the
@@ -113,7 +112,7 @@ func (sp Spec) withDefaults() Spec {
 		sp.Seed = core.StdSeed
 	}
 	if sp.Method == "" {
-		sp.Method = "direct"
+		sp.Method = mdrun.Direct.String()
 	}
 	if sp.Precision == "" {
 		sp.Precision = "f64"
@@ -161,52 +160,13 @@ func (sp Spec) Validate() error {
 	if sp.KeepCheckpoints < 1 || sp.KeepCheckpoints > 64 {
 		return fmt.Errorf("serve: keep_checkpoints %d out of range [1, 64]", sp.KeepCheckpoints)
 	}
-	switch sp.Thermostat {
-	case "", "rescale", "berendsen":
-	default:
-		return fmt.Errorf("serve: unknown thermostat %q (want rescale|berendsen)", sp.Thermostat)
+	if _, err := mdrun.ParseThermostat(sp.Thermostat); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	if _, err := sp.forceMethod(); err != nil {
-		return err
+	if _, err := mdrun.ParseMethod(sp.Method, sp.Precision); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
-}
-
-// forceMethod maps the method/precision strings to an mdrun method,
-// mirroring mdsim's flag mapping (precision f32 stays on the audited
-// mixed-precision ladder; see guard.SerialOf).
-func (sp Spec) forceMethod() (mdrun.ForceMethod, error) {
-	if sp.Precision == "f32" {
-		switch sp.Method {
-		case "pairlist":
-			return mdrun.PairlistF32, nil
-		case "parpairlist":
-			return mdrun.ParallelPairlistF32, nil
-		case "cellgrid":
-			return mdrun.CellGridF32, nil
-		default:
-			return 0, fmt.Errorf("serve: precision f32 supports method pairlist|parpairlist|cellgrid, got %q", sp.Method)
-		}
-	}
-	if sp.Precision != "f64" && sp.Precision != "" {
-		return 0, fmt.Errorf("serve: precision %q: want f64|f32", sp.Precision)
-	}
-	switch sp.Method {
-	case "direct", "":
-		return mdrun.Direct, nil
-	case "pairlist":
-		return mdrun.Pairlist, nil
-	case "cellgrid":
-		return mdrun.CellGrid, nil
-	case "pardirect":
-		return mdrun.ParallelDirect, nil
-	case "parpairlist":
-		return mdrun.ParallelPairlist, nil
-	case "parcellgrid":
-		return mdrun.ParallelCellGrid, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown method %q (want direct|pairlist|cellgrid|pardirect|parpairlist|parcellgrid)", sp.Method)
-	}
 }
 
 // GuardConfig assembles the supervised-run configuration for this spec
@@ -214,23 +174,20 @@ func (sp Spec) forceMethod() (mdrun.ForceMethod, error) {
 // can run the oracle under exactly the admitted configuration. The
 // caller wires OnSegment (and FS, for fault-injected runs).
 func (sp Spec) GuardConfig(ckptDir string) (guard.Config, error) {
-	method, err := sp.forceMethod()
+	method, err := mdrun.ParseMethod(sp.Method, sp.Precision)
 	if err != nil {
-		return guard.Config{}, err
+		return guard.Config{}, fmt.Errorf("serve: %w", err)
+	}
+	thermostat, err := mdrun.ParseThermostat(sp.Thermostat)
+	if err != nil {
+		return guard.Config{}, fmt.Errorf("serve: %w", err)
 	}
 	cfg := mdrun.Config{
 		Atoms: sp.Atoms, Density: sp.Density, Temperature: sp.Temperature,
 		Lattice: lattice.FCC, Seed: sp.Seed,
 		Cutoff: sp.Cutoff, Dt: sp.Dt, Shifted: sp.Shifted,
 		Method: method, Workers: sp.Workers, PairlistSkin: sp.Skin,
-	}
-	switch sp.Thermostat {
-	case "":
-		cfg.Thermostat = mdrun.NVE
-	case "rescale":
-		cfg.Thermostat = mdrun.Rescale
-	case "berendsen":
-		cfg.Thermostat = mdrun.Berendsen
+		Thermostat: thermostat,
 	}
 	return guard.Config{
 		Run:             cfg,

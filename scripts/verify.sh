@@ -31,16 +31,22 @@ go test -count=1 -run 'TestMDServeKillRestart' ./cmd/mdserve/
 echo "==> mdchaos fixed-seed smoke campaign (12 schedules, all invariants)"
 go test -count=1 -run 'TestChaosSmoke' ./internal/chaos/
 
+# This run's bench records go to a scratch file and are compared with
+# the committed baseline, so verifying never rewrites a tracked file.
+BASELINE=BENCH_PR10.json
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+BENCH="$TMP/bench.json"
+
 echo "==> build mdlint once (gates below reuse the binary)"
-MDLINT="$(mktemp -d)/mdlint"
-trap 'rm -rf "$(dirname "$MDLINT")"' EXIT
+MDLINT="$TMP/mdlint"
 go build -o "$MDLINT" ./cmd/mdlint
 
-echo "==> mdlint ./... (with BENCH_PR10.json lint/certification stats)"
-"$MDLINT" -bench-json BENCH_PR10.json ./...
+echo "==> mdlint ./... (lint/certification stats into this run's bench record)"
+"$MDLINT" -bench-json "$BENCH" ./...
 
 echo "==> go test -bench=StepAllocs -benchmem (zero-alloc steady-state stepping gate)"
-STEPALLOCS_OUT="$(BENCH_JSON=BENCH_PR10.json go test -run='^$' -bench=StepAllocs -benchmem -benchtime=50x .)"
+STEPALLOCS_OUT="$(BENCH_JSON="$BENCH" go test -run='^$' -bench=StepAllocs -benchmem -benchtime=50x .)"
 printf '%s\n' "$STEPALLOCS_OUT"
 if printf '%s\n' "$STEPALLOCS_OUT" | grep -E ' [1-9][0-9]* allocs/op' >/dev/null; then
     echo "verify: BenchmarkStepAllocs reported a nonzero allocs/op — steady-state stepping must not allocate" >&2
@@ -48,14 +54,12 @@ if printf '%s\n' "$STEPALLOCS_OUT" | grep -E ' [1-9][0-9]* allocs/op' >/dev/null
 fi
 
 echo "==> mdlint -certify ./... (determinism certificate vs committed golden)"
-"$MDLINT" -certify ./... > DETERMINISM_CERT.json.new
-if ! diff -u DETERMINISM_CERT.json DETERMINISM_CERT.json.new; then
-    rm -f DETERMINISM_CERT.json.new
+"$MDLINT" -certify ./... > "$TMP/cert.json"
+if ! diff -u DETERMINISM_CERT.json "$TMP/cert.json"; then
     echo "verify: determinism certificate drifted from DETERMINISM_CERT.json" >&2
     echo "verify: regenerate with: go run ./cmd/mdlint -certify ./... > DETERMINISM_CERT.json" >&2
     exit 1
 fi
-rm -f DETERMINISM_CERT.json.new
 
 echo "==> hotalloc ledger <= 10 sites (PR-10 SoA arena contract)"
 SITES="$(sed -n 's/.*"count": *\([0-9][0-9]*\).*/\1/p' DETERMINISM_CERT.json | head -n 1)"
@@ -65,7 +69,7 @@ if [ -z "$SITES" ] || [ "$SITES" -gt 10 ]; then
     exit 1
 fi
 
-echo "==> bench trajectory: BENCH_PR9.json -> BENCH_PR10.json"
-scripts/bench_diff.sh BENCH_PR9.json BENCH_PR10.json
+echo "==> bench trajectory: $BASELINE -> this run"
+scripts/bench_diff.sh "$BASELINE" "$BENCH"
 
 echo "verify: all gates passed"
