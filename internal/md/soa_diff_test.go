@@ -9,6 +9,11 @@
 // the seed commit of PR 10). A single flipped bit anywhere in any
 // trajectory changes the digest.
 //
+// The shifted cases (cutoff shift on, ε=1.3, σ=0.95) were recorded
+// later, from the build in which each kernel family still had its own
+// serial, mixed-precision and parallel copy of the pair loop, so they
+// pin the shared kernels against those copies.
+//
 // The test lives in package md_test so it can drive the parallel
 // engine (internal/parallel imports internal/md).
 //
@@ -60,12 +65,23 @@ const (
 
 var soaSeeds = []uint64{11, 42}
 
-// soaCase is one (method, workers) trajectory configuration. Workers is
-// 0 for the serial methods.
+// soaCase is one (method, workers, potential) trajectory
+// configuration. Workers is 0 for the serial methods. Shifted selects
+// the non-default potential (soaShiftedLJ) instead of the paper's
+// unshifted ε=σ=1 truncation.
 type soaCase struct {
 	Method  string
 	Workers int
+	Shifted bool
 }
+
+// soaShiftedLJ is the non-default potential of the shifted cases: the
+// cutoff shift on and ε, σ away from 1, so the ljShift branch and the
+// ε/σ scaling of every kernel are pinned bitwise too.
+const (
+	soaShiftEpsilon = 1.3
+	soaShiftSigma   = 0.95
+)
 
 // soaCases sweeps all force methods; the parallel families sweep
 // Workers ∈ {1, 2, 4, 8} because the scatter/tree-reduce kernels'
@@ -82,13 +98,26 @@ func soaCases() []soaCase {
 			cases = append(cases, soaCase{Method: m, Workers: w})
 		}
 	}
+	// The shifted potential over every kernel family: each serial
+	// method, and the parallel ones at the worker counts that separate
+	// the inline (w1) and sharded (w2) paths.
+	for _, c := range []soaCase{
+		{Method: "direct"}, {Method: "pairlist"}, {Method: "cellgrid"},
+		{Method: "pairlist-f32"}, {Method: "cellgrid-f32"},
+		{Method: "pardirect", Workers: 1}, {Method: "pardirect", Workers: 2},
+		{Method: "parpairlist", Workers: 1}, {Method: "parpairlist", Workers: 2},
+		{Method: "parcellgrid", Workers: 2}, {Method: "parpairlist-f32", Workers: 2},
+	} {
+		c.Shifted = true
+		cases = append(cases, c)
+	}
 	return cases
 }
 
 // newSoASystem builds the randomized thermalized starting state for a
 // seed: lattice positions, Maxwell-Boltzmann velocities, forces
-// evaluated once by NewSystem.
-func newSoASystem(t testing.TB, seed uint64) *md.System[float64] {
+// evaluated once by NewSystem under the case's potential.
+func newSoASystem(t testing.TB, seed uint64, shifted bool) *md.System[float64] {
 	t.Helper()
 	st, err := lattice.Generate(lattice.Config{
 		N: soaAtoms, Density: soaDensity, Temperature: soaTemp,
@@ -97,7 +126,11 @@ func newSoASystem(t testing.TB, seed uint64) *md.System[float64] {
 	if err != nil {
 		t.Fatalf("lattice.Generate: %v", err)
 	}
-	sys, err := md.NewSystem(st, md.Params[float64]{Box: st.Box, Cutoff: soaCutoff, Dt: soaDt})
+	p := md.Params[float64]{Box: st.Box, Cutoff: soaCutoff, Dt: soaDt}
+	if shifted {
+		p.Epsilon, p.Sigma, p.Shifted = soaShiftEpsilon, soaShiftSigma, true
+	}
+	sys, err := md.NewSystem(st, p)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -218,7 +251,7 @@ func appendStateBytes(buf []byte, sys *md.System[float64]) []byte {
 // every step's canonical state bytes (including the initial state, so
 // NewSystem's first force evaluation is pinned too).
 func soaTrajectoryDigest(t testing.TB, seed uint64, c soaCase) string {
-	sys := newSoASystem(t, seed)
+	sys := newSoASystem(t, seed, c.Shifted)
 	forces, cleanup := soaForces(t, sys, c)
 	defer cleanup()
 	h := sha256.New()
@@ -232,10 +265,14 @@ func soaTrajectoryDigest(t testing.TB, seed uint64, c soaCase) string {
 }
 
 func soaCaseKey(seed uint64, c soaCase) string {
-	if c.Workers == 0 {
-		return fmt.Sprintf("seed%d/%s", seed, c.Method)
+	key := fmt.Sprintf("seed%d/%s", seed, c.Method)
+	if c.Workers != 0 {
+		key += fmt.Sprintf("/w%d", c.Workers)
 	}
-	return fmt.Sprintf("seed%d/%s/w%d", seed, c.Method, c.Workers)
+	if c.Shifted {
+		key += "/shifted"
+	}
+	return key
 }
 
 const soaGoldenPath = "testdata/soa_goldens.json"
