@@ -312,6 +312,26 @@ func BenchmarkAblationMTAStreams(b *testing.B) {
 
 // ---- Host parallel baseline (real wall-clock numbers) ----
 
+// appendBenchJSON appends sink's records as JSON Lines to the file
+// named by BENCH_JSON, when that is set and the benchmark recorded
+// anything. Benchmarks defer it right after creating their sink; a
+// write failure is logged, not fatal.
+func appendBenchJSON(b *testing.B, sink *report.BenchSink) {
+	path := os.Getenv("BENCH_JSON")
+	if path == "" || sink.Len() == 0 {
+		return
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		b.Logf("BENCH_JSON: %v", err)
+		return
+	}
+	defer f.Close()
+	if err := sink.WriteJSON(f); err != nil {
+		b.Logf("BENCH_JSON: %v", err)
+	}
+}
+
 // parallelBenchWorkers enumerates the worker sweep: every count up to
 // NumCPU on small hosts, powers of two plus NumCPU on large ones.
 func parallelBenchWorkers() []int {
@@ -337,21 +357,7 @@ func parallelBenchWorkers() []int {
 // bench trajectory.
 func BenchmarkParallelForces(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	// serialNs lazily measures the serial full-loop kernel once per
 	// atom count — the denominator of every speedup metric.
@@ -390,7 +396,9 @@ func BenchmarkParallelForces(b *testing.B) {
 				defer e.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.ForcesDirect(p, pos, acc)
+					if _, err := e.TryForcesDirect(p, pos, acc); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StopTimer()
 				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -425,7 +433,9 @@ func BenchmarkParallelForces(b *testing.B) {
 		defer e.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ForcesCell(cl, p, pos, acc)
+			if _, err := e.TryForcesCell(cl, p, pos, acc); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -441,7 +451,9 @@ func BenchmarkParallelForces(b *testing.B) {
 		defer e.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ForcesPairlist(nl, p, pos, acc)
+			if _, err := e.TryForcesPairlist(nl, p, pos, acc); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -475,21 +487,7 @@ func buildBenchWorkers() []int {
 // trajectory.
 func BenchmarkNeighborBuild(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	const skin = 0.4
 	newList := func(b *testing.B) *md.NeighborList[float64] {
@@ -581,21 +579,7 @@ func BenchmarkNeighborBuild(b *testing.B) {
 // records for the cross-PR bench trajectory (BENCH_PR6.json).
 func BenchmarkMixedPrecision(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	const skin = 0.4
 	ncpu := runtime.NumCPU()
@@ -669,7 +653,9 @@ func BenchmarkMixedPrecision(b *testing.B) {
 			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.ForcesPairlist(nl, p, pos, acc)
+				if _, err := e.TryForcesPairlist(nl, p, pos, acc); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			record(b, fmt.Sprintf("pairlist_f64_n%d_parallel", n), "")
@@ -730,21 +716,7 @@ func BenchmarkMixedPrecision(b *testing.B) {
 // trajectory.
 func BenchmarkGuardRecovery(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	base := mdrun.Config{
 		Atoms: 108, Density: 0.8442, Temperature: 0.728,
@@ -819,21 +791,7 @@ func BenchmarkGuardRecovery(b *testing.B) {
 // trajectory.
 func BenchmarkBatchThroughput(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	replicas := func(n int) []fleet.Replica {
 		reps := make([]fleet.Replica, n)
@@ -908,21 +866,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // lands in the JSON-Lines bench trajectory (BENCH_PR7.json).
 func BenchmarkServeThroughput(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	newServer := func(b *testing.B, tp serve.TenantPolicy) (*serve.Server, http.Handler) {
 		srv, err := serve.NewServer(serve.Config{
@@ -1414,21 +1358,7 @@ func BenchmarkAblationBranchHints(b *testing.B) {
 // BENCH_JSON=<path> to append the machine-readable record.
 func BenchmarkChaosOverhead(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	// Dense checkpoints so the measured pipeline is store-heavy: per
 	// job one spec write, six checkpoint commits, one terminal record.
@@ -1516,21 +1446,7 @@ func BenchmarkChaosOverhead(b *testing.B) {
 // the cross-PR bench trajectory (BENCH_PR10.json).
 func BenchmarkStepAllocs(b *testing.B) {
 	sink := report.NewBenchSink()
-	defer func() {
-		path := os.Getenv("BENCH_JSON")
-		if path == "" || sink.Len() == 0 {
-			return
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := sink.WriteJSON(f); err != nil {
-			b.Logf("BENCH_JSON: %v", err)
-		}
-	}()
+	defer appendBenchJSON(b, sink)
 
 	const n = 2048
 	newSys := func(b *testing.B) *md.System[float64] {

@@ -16,9 +16,11 @@ type RootSpec string
 // an "unresolved" verdict in the certificate, which the committed
 // golden (and its test) refuses.
 //
-// ForcesDirectInstrumented is deliberately absent: the instrumented
-// variant exists for the op-accounting benches, merges sim.Ledger
-// maps, and is never on a production per-step path.
+// The shared row and pair-range kernels (md.ForcesFullRows,
+// md.ForcesPairRange, and the cell kernel behind CellList.Forces and
+// ForcesCellMixed) are not roots of their own: each is certified
+// inside the cones of the serial and parallel entry points that call
+// it.
 var KernelRoots = []RootSpec{
 	// integrate
 	"repro/internal/md:System.Step",
@@ -40,14 +42,10 @@ var KernelRoots = []RootSpec{
 	"repro/internal/md:NeighborList.Build",
 	"repro/internal/md:NeighborList.BuildN2",
 	// parallel kernels and builds
-	"repro/internal/parallel:Engine.ForcesDirect",
 	"repro/internal/parallel:Engine.TryForcesDirect",
-	"repro/internal/parallel:Engine.ForcesCell",
 	"repro/internal/parallel:Engine.TryForcesCell",
-	"repro/internal/parallel:Engine.ForcesPairlist",
 	"repro/internal/parallel:Engine.TryForcesPairlist",
 	"repro/internal/parallel:Engine.BuildPairlist",
-	"repro/internal/parallel:Engine.ForcesPairlistF32",
 	"repro/internal/parallel:Engine.TryForcesPairlistF32",
 	"repro/internal/parallel:Engine.BuildPairlistF32",
 	// deterministic reductions

@@ -68,24 +68,6 @@ func NewCellList[T vec.Float](box, cutoff T) (*CellList[T], error) {
 	}, nil
 }
 
-// NewCellListDims sizes a grid with an explicit per-edge cell count.
-// The neighbor-list builder used to call this per geometry change; it
-// now embeds a grid by value and regeometries it with reinit, so this
-// constructor is off the hot path entirely.
-func NewCellListDims[T vec.Float](box T, dims int) (*CellList[T], error) {
-	if !(box > 0) {
-		return nil, fmt.Errorf("md: cell list needs a positive box, got %v", box)
-	}
-	if dims < 3 {
-		return nil, fmt.Errorf("md: cell grid needs >= 3 cells per edge, got %d", dims)
-	}
-	return &CellList[T]{
-		dims:  dims,
-		width: box / T(dims),
-		box:   box,
-	}, nil
-}
-
 // reinit re-geometries the grid in place, keeping every arena. The
 // caller must guarantee box > 0 and dims >= 3 (the neighbor-list
 // builder's buildGridDims does); that precondition is what lets the
@@ -299,8 +281,18 @@ func (cl *CellList[T]) Build(pos Coords[T]) {
 func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 	cl.Build(pos)
 	acc.Zero()
+	return cellForces(cl, p, pos, acc)
+}
+
+// cellForces is the half-shell linked-cell kernel over a built grid:
+// each atom meets the later atoms of its own cell and every atom of 13
+// of its 26 neighbor cells, so each unordered pair is visited once and
+// both of its atoms are updated. Geometry runs at the grid's width T
+// and accumulation at width A, as in ForcesPairRange; acc is
+// accumulated into, not cleared.
+func cellForces[T, A vec.Float](cl *CellList[T], p Params[T], pos Coords[T], acc Coords[A]) A {
 	rc2 := p.Cutoff * p.Cutoff
-	var pe T
+	var pe A
 	d := cl.dims
 	for cx := 0; cx < d; cx++ {
 		for cy := 0; cy < d; cy++ {
@@ -310,14 +302,14 @@ func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 					pi := pos.At(int(i))
 					// Within the home cell: pairs i<j only.
 					for j := cl.next[i]; j >= 0; j = cl.next[j] {
-						pe += cl.pair(p, rc2, pos, acc, int(i), int(j), pi)
+						pe += cellPair(p, rc2, pos, acc, int(i), int(j), pi)
 					}
 					// Half of the 26 neighbor cells (to visit each
 					// unordered cell pair once).
 					for _, off := range halfNeighborOffsets {
 						nc := cl.wrapCell(cx+off[0], cy+off[1], cz+off[2])
 						for j := cl.heads[nc]; j >= 0; j = cl.next[j] {
-							pe += cl.pair(p, rc2, pos, acc, int(i), int(j), pi)
+							pe += cellPair(p, rc2, pos, acc, int(i), int(j), pi)
 						}
 					}
 				}
@@ -327,18 +319,24 @@ func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 	return pe
 }
 
-// pair applies one i-j interaction with the minimum image.
-func (cl *CellList[T]) pair(p Params[T], rc2 T, pos Coords[T], acc Coords[T], i, j int, pi vec.V3[T]) T {
+// cellPair applies one i-j interaction with the minimum image at width
+// T, folds the pair force into acc at width A, and returns the pair
+// energy at width A.
+func cellPair[T, A vec.Float](p Params[T], rc2 T, pos Coords[T], acc Coords[A], i, j int, pi vec.V3[T]) A {
 	dv := MinImage(pi.Sub(pos.At(j)), p.Box)
 	r2 := dv.Norm2()
 	if r2 >= rc2 || r2 == 0 {
 		return 0
 	}
 	v, f := LJPair(p, r2)
-	fd := dv.Scale(f)
-	acc.Add(i, fd)
-	acc.Sub(j, fd)
-	return v
+	fx, fy, fz := A(dv.X*f), A(dv.Y*f), A(dv.Z*f)
+	acc.X[i] += fx
+	acc.Y[i] += fy
+	acc.Z[i] += fz
+	acc.X[j] -= fx
+	acc.Y[j] -= fy
+	acc.Z[j] -= fz
+	return A(v)
 }
 
 // wrapCell folds a (possibly negative or overflowing) cell coordinate

@@ -138,9 +138,21 @@ func ComputeForces[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) T {
 // models use the count to scale the data-dependent part of their cycle
 // ledgers without a second pass over the pairs.
 func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) (pe T, interacting int64) {
+	pe, interacting = ForcesFullRows(p, pos, acc, 0, pos.Len())
+	return pe / 2, interacting
+}
+
+// ForcesFullRows is the full-loop (gather-only) kernel over the atoms
+// [lo, hi): each atom scans all N-1 others and its acceleration is
+// written whole, so disjoint row ranges never touch the same element
+// of acc. The energy it returns counts every pair twice, once from
+// each side; pairs is the number of ordered interacting pairs found.
+// ComputeForcesFullCount runs it over every row; the parallel engine
+// runs it once per atom-range shard.
+func ForcesFullRows[T vec.Float](p Params[T], pos, acc Coords[T], lo, hi int) (pe T, pairs int64) {
 	rc2 := p.Cutoff * p.Cutoff
 	n := pos.Len()
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		pi := pos.At(i)
 		var ai vec.V3[T]
 		var pei T
@@ -153,7 +165,7 @@ func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			interacting++
+			pairs++
 			v, f := LJPair(p, r2)
 			pei += v
 			ai = ai.Add(d.Scale(f))
@@ -161,7 +173,7 @@ func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[
 		acc.Set(i, ai)
 		pe += pei
 	}
-	return pe / 2, interacting
+	return pe, pairs
 }
 
 // ComputeForcesFull evaluates the same kernel with the full N² loop

@@ -11,12 +11,15 @@ import (
 // GPU float4) apply, brought to the host kernels. Pair geometry —
 // minimum image, r², the LJ pair evaluation — runs in float32, which
 // halves the working-set bytes of the hot loop; per-atom force and
-// energy accumulation stay in float64 via the audited helpers in
-// internal/vec, so no accumulator ever sums float32 into float32. The
-// float64 System remains the master state: integration, thermostat,
-// checkpoints, and the guard watchdog are untouched, and the fast
-// path only ever reads a narrowed mirror of the positions and writes
-// float64 accelerations back.
+// energy accumulation stay in float64, so no accumulator ever sums
+// float32 into float32. The kernels are the float64 pairlist and cell
+// kernels (ForcesPairRange, cellForces) instantiated with float32
+// geometry and float64 accumulation; their only conversion is the
+// exact widening of each pair term that vec.AccumAdd and vec.Widen
+// perform. The float64 System remains the master state: integration,
+// thermostat, checkpoints, and the guard watchdog are untouched, and
+// the fast path only ever reads a narrowed mirror of the positions and
+// writes float64 accelerations back.
 
 // NarrowParams narrows float64 simulation parameters to the float32
 // kernel width via the audited vec.Narrow helper.
@@ -118,23 +121,7 @@ func ForcesPairlistMixed(nl *NeighborList[float32], p Params[float32], pos Coord
 		nl.Build(p, pos)
 	}
 	acc.Zero()
-	rc2 := p.Cutoff * p.Cutoff
-	var pe float64
-	for i, js := range nl.pairs {
-		pi := pos.At(i)
-		for _, j := range js {
-			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
-			r2 := d.Norm2()
-			if r2 >= rc2 || r2 == 0 {
-				continue
-			}
-			v, f := LJPair(p, r2)
-			pe += vec.Widen(v)
-			fd := d.Scale(f)
-			acc.Set(i, vec.AccumAdd(acc.At(i), fd))
-			acc.Set(int(j), vec.AccumSub(acc.At(int(j)), fd))
-		}
-	}
+	pe := ForcesPairRange(nl, p, pos, acc, 0, nl.PairCount())
 	nl.queries++
 	return pe
 }
@@ -146,47 +133,7 @@ func ForcesPairlistMixed(nl *NeighborList[float32], p Params[float32], pos Coord
 func ForcesCellMixed(cl *CellList[float32], p Params[float32], pos Coords[float32], acc Coords[float64]) float64 {
 	cl.Build(pos)
 	acc.Zero()
-	rc2 := p.Cutoff * p.Cutoff
-	var pe float64
-	d := cl.dims
-	for cx := 0; cx < d; cx++ {
-		for cy := 0; cy < d; cy++ {
-			for cz := 0; cz < d; cz++ {
-				c := (cx*d+cy)*d + cz
-				for i := cl.heads[c]; i >= 0; i = cl.next[i] {
-					pi := pos.At(int(i))
-					// Within the home cell: pairs i<j only.
-					for j := cl.next[i]; j >= 0; j = cl.next[j] {
-						pe += pairMixed(p, rc2, pos, acc, int(i), int(j), pi)
-					}
-					// Half of the 26 neighbor cells (each unordered
-					// cell pair once).
-					for _, off := range halfNeighborOffsets {
-						nc := cl.wrapCell(cx+off[0], cy+off[1], cz+off[2])
-						for j := cl.heads[nc]; j >= 0; j = cl.next[j] {
-							pe += pairMixed(p, rc2, pos, acc, int(i), int(j), pi)
-						}
-					}
-				}
-			}
-		}
-	}
-	return pe
-}
-
-// pairMixed applies one i-j interaction at float32 and folds it into
-// the float64 accumulators, returning the widened pair energy.
-func pairMixed(p Params[float32], rc2 float32, pos Coords[float32], acc Coords[float64], i, j int, pi vec.V3[float32]) float64 {
-	dv := MinImage(pi.Sub(pos.At(j)), p.Box)
-	r2 := dv.Norm2()
-	if r2 >= rc2 || r2 == 0 {
-		return 0
-	}
-	v, f := LJPair(p, r2)
-	fd := dv.Scale(f)
-	acc.Set(i, vec.AccumAdd(acc.At(i), fd))
-	acc.Set(j, vec.AccumSub(acc.At(j), fd))
-	return vec.Widen(v)
+	return cellForces(cl, p, pos, acc)
 }
 
 // FullRows is the gather (full-shell) view of a NeighborList: for

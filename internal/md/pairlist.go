@@ -166,7 +166,7 @@ func (nl *NeighborList[T]) sizeRows(n int) {
 	nl.rowArena = nl.rowArena[:n*nl.stride]
 	for i := range nl.pairs {
 		off := i * nl.stride
-		nl.pairs[i] = nl.rowArena[off:off : off+nl.stride]
+		nl.pairs[i] = nl.rowArena[off : off : off+nl.stride]
 	}
 }
 
@@ -288,9 +288,38 @@ func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 		nl.Build(p, pos)
 	}
 	acc.Zero()
+	pe := ForcesPairRange(nl, p, pos, acc, 0, nl.PairCount())
+	nl.queries++
+	return pe
+}
+
+// ForcesPairRange is the half-list kernel over the flattened pairs
+// [lo, hi) of nl, numbered row by row in list order; a range may start
+// and end inside a row. Pair geometry and the LJ terms run at the
+// list's width T, and each pair force and energy is folded into acc
+// and the returned total at width A. A(x) is a no-op when A is T and
+// an exact widening otherwise, so each update is bitwise the one
+// Coords.Add/Sub (same width) or vec.AccumAdd/AccumSub (float32 into
+// float64) would make. acc is accumulated into, not cleared: callers
+// zero it first, and an empty range leaves it untouched. The list must
+// be built for pos.
+//
+// NeighborList.Forces runs it over every pair, ForcesPairlistMixed
+// with float32 geometry and float64 accumulation, and the parallel
+// engine once per worker's pair chunk into a private buffer.
+func ForcesPairRange[T, A vec.Float](nl *NeighborList[T], p Params[T], pos Coords[T], acc Coords[A], lo, hi int) A {
 	rc2 := p.Cutoff * p.Cutoff
-	var pe T
-	for i, js := range nl.pairs {
+	var pe A
+	start := 0 // flattened index of row i's first pair
+	for i := 0; i < len(nl.pairs) && start < hi; i++ {
+		js := nl.pairs[i]
+		end := start + len(js)
+		if end <= lo {
+			start = end
+			continue
+		}
+		js = js[max(lo, start)-start : min(hi, end)-start]
+		start = end
 		pi := pos.At(i)
 		for _, j := range js {
 			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
@@ -299,20 +328,22 @@ func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 				continue
 			}
 			v, f := LJPair(p, r2)
-			pe += v
-			fd := d.Scale(f)
-			acc.Add(i, fd)
-			acc.Sub(int(j), fd)
+			pe += A(v)
+			fx, fy, fz := A(d.X*f), A(d.Y*f), A(d.Z*f)
+			acc.X[i] += fx
+			acc.Y[i] += fy
+			acc.Z[i] += fz
+			acc.X[j] -= fx
+			acc.Y[j] -= fy
+			acc.Z[j] -= fz
 		}
 	}
-	nl.queries++
 	return pe
 }
 
 // Neighbors returns the stored neighbor indices j > i for atom i, valid
 // until the next Build. Callers must treat the slice as read-only; it
-// aliases the list's internal storage. This is the access path the
-// parallel pair-chunk kernel shards over.
+// aliases the list's internal storage.
 func (nl *NeighborList[T]) Neighbors(i int) []int32 { return nl.pairs[i] }
 
 // PairCount returns the number of stored pairs, a direct measure of how

@@ -139,7 +139,7 @@ func newSoASystem(t testing.TB, seed uint64, shifted bool) *md.System[float64] {
 
 // soaForces wires the force evaluation for one case, mirroring
 // mdrun.buildForces. The returned cleanup closes any engine.
-func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() float64, cleanup func()) {
+func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() (float64, error), cleanup func()) {
 	t.Helper()
 	noop := func() {}
 	newEngine := func() *parallel.Engine[float64] {
@@ -147,48 +147,48 @@ func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() 
 	}
 	switch c.Method {
 	case "direct":
-		return func() float64 { return md.ComputeForces(sys.P, sys.Pos, sys.Acc) }, noop
+		return func() (float64, error) { return md.ComputeForces(sys.P, sys.Pos, sys.Acc), nil }, noop
 	case "pairlist":
 		nl, err := md.NewNeighborList[float64](soaSkin)
 		if err != nil {
 			t.Fatalf("NewNeighborList: %v", err)
 		}
-		return func() float64 { return nl.Forces(sys.P, sys.Pos, sys.Acc) }, noop
+		return func() (float64, error) { return nl.Forces(sys.P, sys.Pos, sys.Acc), nil }, noop
 	case "cellgrid":
 		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
 		if err != nil {
 			t.Fatalf("NewCellList: %v", err)
 		}
-		return func() float64 { return cl.Forces(sys.P, sys.Pos, sys.Acc) }, noop
+		return func() (float64, error) { return cl.Forces(sys.P, sys.Pos, sys.Acc), nil }, noop
 	case "pardirect":
 		e := newEngine()
-		return func() float64 { return e.ForcesDirect(sys.P, sys.Pos, sys.Acc) }, e.Close
+		return func() (float64, error) { return e.TryForcesDirect(sys.P, sys.Pos, sys.Acc) }, e.Close
 	case "parpairlist":
 		nl, err := md.NewNeighborList[float64](soaSkin)
 		if err != nil {
 			t.Fatalf("NewNeighborList: %v", err)
 		}
 		e := newEngine()
-		return func() float64 { return e.ForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, e.Close
+		return func() (float64, error) { return e.TryForcesPairlist(nl, sys.P, sys.Pos, sys.Acc) }, e.Close
 	case "parcellgrid":
 		cl, err := md.NewCellList(sys.P.Box, sys.P.Cutoff)
 		if err != nil {
 			t.Fatalf("NewCellList: %v", err)
 		}
 		e := newEngine()
-		return func() float64 { return e.ForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, e.Close
+		return func() (float64, error) { return e.TryForcesCell(cl, sys.P, sys.Pos, sys.Acc) }, e.Close
 	case "pairlist-f32":
 		mx, nl := newSoAMixed(t, sys)
-		return func() float64 {
+		return func() (float64, error) {
 			mx.Refresh(sys.Pos)
-			return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, sys.Acc)
+			return md.ForcesPairlistMixed(nl, mx.P, mx.Pos, sys.Acc), nil
 		}, noop
 	case "parpairlist-f32":
 		mx, nl := newSoAMixed(t, sys)
 		e := newEngine()
-		return func() float64 {
+		return func() (float64, error) {
 			mx.Refresh(sys.Pos)
-			return e.ForcesPairlistF32(nl, mx.P, mx.Pos, sys.Acc)
+			return e.TryForcesPairlistF32(nl, mx.P, mx.Pos, sys.Acc)
 		}, e.Close
 	case "cellgrid-f32":
 		mx, err := md.NewMirror32(sys.P)
@@ -199,9 +199,9 @@ func soaForces(t testing.TB, sys *md.System[float64], c soaCase) (forces func() 
 		if err != nil {
 			t.Fatalf("NewCellList(f32): %v", err)
 		}
-		return func() float64 {
+		return func() (float64, error) {
 			mx.Refresh(sys.Pos)
-			return md.ForcesCellMixed(cl, mx.P, mx.Pos, sys.Acc)
+			return md.ForcesCellMixed(cl, mx.P, mx.Pos, sys.Acc), nil
 		}, noop
 	default:
 		t.Fatalf("unknown method %q", c.Method)
@@ -258,7 +258,9 @@ func soaTrajectoryDigest(t testing.TB, seed uint64, c soaCase) string {
 	buf := make([]byte, 0, sys.N()*9*8+16)
 	h.Write(appendStateBytes(buf, sys))
 	for s := 0; s < soaSteps; s++ {
-		sys.StepWith(forces)
+		if err := sys.StepWithE(forces); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
 		h.Write(appendStateBytes(buf[:0], sys))
 	}
 	return hex.EncodeToString(h.Sum(nil))

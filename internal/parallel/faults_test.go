@@ -96,24 +96,6 @@ func TestWorkerPanicAllKernels(t *testing.T) {
 	}
 }
 
-// TestLegacyKernelPanicsOnCaller pins the legacy non-Try path: the
-// worker failure re-panics on the caller's goroutine (recoverable),
-// never on the worker goroutine (fatal).
-func TestLegacyKernelPanicsOnCaller(t *testing.T) {
-	p, pos, acc := faultState(t, 108)
-	e := New[float64](4)
-	defer e.Close()
-	e.SetInjector(faults.NewRegistry(1).Arm(faults.Fault{
-		Site: faults.SiteWorker, Kind: faults.Panic, Trigger: faults.Trigger{AtCall: 1},
-	}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("legacy ForcesDirect swallowed the worker failure")
-		}
-	}()
-	e.ForcesDirect(p, pos, acc)
-}
-
 // TestWorkerDelayKeepsResultsCorrect injects a straggler: the kernel
 // is slower but bit-identical in result.
 func TestWorkerDelayKeepsResultsCorrect(t *testing.T) {

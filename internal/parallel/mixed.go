@@ -39,18 +39,6 @@ func (e *Engine[T]) BuildPairlistF32(ctx context.Context, nl *md.NeighborList[fl
 	return buildPairlist(e, ctx, nl, p, pos)
 }
 
-// ForcesPairlistF32 evaluates the mixed-precision Verlet-list kernel,
-// panicking on a worker failure; error-aware callers use
-// TryForcesPairlistF32. acc is overwritten; the return value is the
-// float64 potential energy.
-func (e *Engine[T]) ForcesPairlistF32(nl *md.NeighborList[float32], p md.Params[float32], pos md.Coords[float32], acc md.Coords[float64]) float64 {
-	pe, err := e.TryForcesPairlistF32(nl, p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe
-}
-
 // TryForcesPairlistF32 evaluates LJ forces over a float32 neighbor
 // list with atom-range sharding and full-row gather: pair geometry
 // and the LJ evaluation run at float32, each atom's force and energy

@@ -7,25 +7,32 @@
 // needs, and reduce privately-accumulated forces afterwards — never
 // scatter Newton's-third-law updates into another shard's atoms.
 //
-// Three kernels are provided, matching the three serial host paths in
-// internal/md:
+// The engine writes no pair loop of its own where internal/md has one:
+// it shards md's row and pair-range kernels, reduces their partial
+// results and isolates worker faults. Three kernels are provided,
+// matching the three serial host paths in internal/md:
 //
-//   - ForcesDirect: the paper's O(N²) kernel over the full-loop
-//     (gather-only) layout of md.ComputeForcesFull, sharded by atom
-//     range. Each atom's acceleration is written by exactly one worker,
-//     so no synchronization is needed beyond the join.
-//   - ForcesCell: the linked-cell O(N) method, sharded by cell range.
-//     Workers gather over the full 27-cell shell (not the serial
-//     half-shell), again writing only their own cells' atoms.
-//   - ForcesPairlist: the Verlet neighbor list, sharded by pair chunk.
-//     The half-triangle pair layout forces scatter to both atoms of a
-//     pair, so each worker scatters into a private acceleration buffer
-//     and the buffers are combined by a parallel tree reduction.
+//   - TryForcesDirect: the paper's O(N²) kernel over the full-loop
+//     (gather-only) layout, sharded by atom range; each worker runs
+//     md.ForcesFullRows over its rows. Each atom's acceleration is
+//     written by exactly one worker, so no synchronization is needed
+//     beyond the join.
+//   - TryForcesCell: the linked-cell O(N) method, sharded by cell
+//     range. Workers gather over the full 27-cell shell (not the
+//     serial half-shell), again writing only their own cells' atoms.
+//   - TryForcesPairlist: the Verlet neighbor list, sharded by pair
+//     chunk; each worker runs md.ForcesPairRange over its chunk. The
+//     half-triangle pair layout scatters to both atoms of a pair, so
+//     each worker accumulates into a private acceleration buffer and
+//     the buffers are combined by a parallel tree reduction.
 //
-// All three match their serial counterparts to rounding (the direct
-// kernel with one worker is bitwise identical to ComputeForcesFull);
-// the package tests pin this, and the whole package is race-detector
-// clean.
+// Every kernel returns worker failures as errors; there are no
+// panicking forms. With one worker the direct and pairlist kernels
+// call the same md function over the same range as their serial
+// counterparts (md.ComputeForcesFull, NeighborList.Forces), so they
+// are bitwise identical to them by construction; the cell kernel
+// matches CellList.Forces to rounding. The package tests pin this, and
+// the whole package is race-detector clean.
 //
 // The neighbor-list *build* is parallel too: BuildPairlist shards the
 // list rows across the pool after a single cell-binning pass. Rows are
@@ -43,7 +50,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/md"
-	"repro/internal/sim"
 	"repro/internal/vec"
 )
 
@@ -107,7 +113,6 @@ type Engine[T vec.Float] struct {
 type shard[T vec.Float] struct {
 	pe      T            // partial potential energy
 	pairs   int64        // partial interacting-pair count
-	ledger  sim.Ledger   // partial op accounting (instrumented runs)
 	acc     md.Coords[T] // private accumulator (pairlist kernel)
 	cellbuf []int        // neighbor-cell scratch (cell kernel)
 }
@@ -268,65 +273,25 @@ func (e *Engine[T]) reducePE() T {
 	return pe
 }
 
-// ForcesDirect evaluates the paper's O(N²) kernel with atom-range
+// TryForcesDirect evaluates the paper's O(N²) kernel with atom-range
 // sharding over the full-loop layout. acc is overwritten; the return
 // value is the total potential energy. With one worker the result is
-// bitwise identical to md.ComputeForcesFull. A worker failure panics
-// on the caller's goroutine; error-aware callers use TryForcesDirect.
-func (e *Engine[T]) ForcesDirect(p md.Params[T], pos, acc md.Coords[T]) T {
-	pe, _ := e.ForcesDirectCount(p, pos, acc)
-	return pe
-}
-
-// TryForcesDirect is ForcesDirect on the error-returning kernel path:
-// a worker panic (real or injected) surfaces as an error and the
-// process — and the pool — survive. On error, acc is undefined.
+// bitwise identical to md.ComputeForcesFull. A worker panic (real or
+// injected) surfaces as an error and the process — and the pool —
+// survive. On error, acc is undefined.
 func (e *Engine[T]) TryForcesDirect(p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	pe, _, err := e.forcesDirectCount(p, pos, acc)
 	return pe, err
 }
 
-// ForcesDirectCount is ForcesDirect plus the count of ordered
+// forcesDirectCount is TryForcesDirect plus the count of ordered
 // interacting pairs, mirroring md.ComputeForcesFullCount.
-func (e *Engine[T]) ForcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T, int64) {
-	pe, pairs, err := e.forcesDirectCount(p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe, pairs
-}
-
 func (e *Engine[T]) forcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T, int64, error) {
 	n := pos.Len()
-	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		lo, hi := e.shardRange(n, w)
 		sh := &e.shards[w]
-		var pe T
-		var pairs int64
-		for i := lo; i < hi; i++ {
-			pi := pos.At(i)
-			var ai vec.V3[T]
-			var pei T
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				d := md.MinImage(pi.Sub(pos.At(j)), p.Box)
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				pairs++
-				v, f := md.LJPair(p, r2)
-				pei += v
-				ai = ai.Add(d.Scale(f))
-			}
-			acc.Set(i, ai)
-			pe += pei
-		}
-		sh.pe = pe
-		sh.pairs = pairs
+		sh.pe, sh.pairs = md.ForcesFullRows(p, pos, acc, lo, hi)
 	})
 	if err != nil {
 		return 0, 0, err
@@ -339,102 +304,15 @@ func (e *Engine[T]) forcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T,
 	return e.reducePE() / 2, pairs, nil
 }
 
-// Coarse per-candidate and per-interaction operation mixes for the
-// instrumented direct kernel: the same first-order accounting the
-// device models apply to this loop (pos gather, minimum image, r²,
-// cutoff test; then the LJ pair evaluation and force accumulation).
-// The counts depend only on which (i, j) pairs are visited, so the
-// merged ledger is identical for every worker count.
-var (
-	candidateOps = []struct {
-		op sim.Op
-		n  int64
-	}{
-		{sim.OpLoad, 3}, {sim.OpFAdd, 5}, {sim.OpFMul, 3}, {sim.OpCmp, 4},
-	}
-	interactionOps = []struct {
-		op sim.Op
-		n  int64
-	}{
-		{sim.OpFDiv, 1}, {sim.OpFMul, 9}, {sim.OpFAdd, 5}, {sim.OpStore, 3},
-	}
-)
-
-// ForcesDirectInstrumented is ForcesDirect with per-worker op
-// accounting: each worker tallies its shard's modeled operation mix
-// into a private sim.Ledger and the ledgers are folded with
-// sim.MergeAll. The physics is identical to ForcesDirect; the ledger
-// feeds device-model-style cycle accounting for the host path.
-func (e *Engine[T]) ForcesDirectInstrumented(p md.Params[T], pos, acc md.Coords[T]) (T, sim.Ledger) {
-	n := pos.Len()
-	rc2 := p.Cutoff * p.Cutoff
-	err := e.run(func(w int) {
-		lo, hi := e.shardRange(n, w)
-		sh := &e.shards[w]
-		sh.ledger.Reset()
-		var pe T
-		var candidates, interactions int64
-		for i := lo; i < hi; i++ {
-			pi := pos.At(i)
-			var ai vec.V3[T]
-			var pei T
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				candidates++
-				d := md.MinImage(pi.Sub(pos.At(j)), p.Box)
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				interactions++
-				v, f := md.LJPair(p, r2)
-				pei += v
-				ai = ai.Add(d.Scale(f))
-			}
-			acc.Set(i, ai)
-			pe += pei
-		}
-		sh.pe = pe
-		for _, c := range candidateOps {
-			sh.ledger.Add(c.op, c.n*candidates)
-		}
-		for _, c := range interactionOps {
-			sh.ledger.Add(c.op, c.n*interactions)
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	e.corruptOutput(acc)
-	ledgers := make([]sim.Ledger, len(e.shards))
-	for w := range e.shards {
-		ledgers[w] = e.shards[w].ledger
-	}
-	return e.reducePE() / 2, sim.MergeAll(ledgers)
-}
-
-// ForcesCell evaluates the linked-cell method with cell-range sharding:
-// the grid is rebuilt from the positions, then each worker computes the
-// forces on the atoms of its cell range by gathering over the full
-// 27-cell shell. Every atom belongs to exactly one cell, so acc is
-// written race-free; each pair is visited from both sides, so the
-// summed energy is halved. acc is overwritten; the return value is the
-// potential energy, matching cl.Forces to rounding. A worker failure
-// panics on the caller's goroutine; error-aware callers use
-// TryForcesCell.
-func (e *Engine[T]) ForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) T {
-	pe, err := e.TryForcesCell(cl, p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe
-}
-
-// TryForcesCell is ForcesCell on the error-returning kernel path: a
-// worker panic (real or injected) surfaces as an error and the process
-// — and the pool — survive. On error, acc is undefined.
+// TryForcesCell evaluates the linked-cell method with cell-range
+// sharding: the grid is rebuilt from the positions, then each worker
+// computes the forces on the atoms of its cell range by gathering over
+// the full 27-cell shell. Every atom belongs to exactly one cell, so
+// acc is written race-free; each pair is visited from both sides, so
+// the summed energy is halved. acc is overwritten; the return value is
+// the potential energy, matching cl.Forces to rounding. A worker panic
+// (real or injected) surfaces as an error and the process — and the
+// pool — survive. On error, acc is undefined.
 func (e *Engine[T]) TryForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	cl.Build(pos)
 	ncells := cl.NumCells()
@@ -564,27 +442,16 @@ func buildPairlist[T, F vec.Float](e *Engine[T], ctx context.Context, nl *md.Nei
 	return nil
 }
 
-// ForcesPairlist evaluates the Verlet-list kernel with pair-chunk
+// TryForcesPairlist evaluates the Verlet-list kernel with pair-chunk
 // sharding: the flattened (i, j) pair sequence is split into one
 // near-equal chunk per worker (splitting inside an atom's neighbor list
-// when needed), each worker scatters both sides of its pairs into a
-// private acceleration buffer, and the buffers are combined by a
+// when needed), each worker runs md.ForcesPairRange over its chunk into
+// a private acceleration buffer, and the buffers are combined by a
 // parallel tree reduction before being written to acc. The list is
 // rebuilt first if stale. acc is overwritten; the return value is the
-// potential energy, matching nl.Forces to rounding. A worker failure
-// panics on the caller's goroutine; error-aware callers use
-// TryForcesPairlist.
-func (e *Engine[T]) ForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) T {
-	pe, err := e.TryForcesPairlist(nl, p, pos, acc)
-	if err != nil {
-		panic(err)
-	}
-	return pe
-}
-
-// TryForcesPairlist is ForcesPairlist on the error-returning kernel
-// path: a worker panic (real or injected) surfaces as an error and the
-// process — and the pool — survive. On error, acc is undefined.
+// potential energy, matching nl.Forces to rounding (bitwise with one
+// worker). A worker panic (real or injected) surfaces as an error and
+// the process — and the pool — survive. On error, acc is undefined.
 func (e *Engine[T]) TryForcesPairlist(nl *md.NeighborList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	if nl.Stale(p, pos) {
 		if err := e.BuildPairlist(e.evalCtx(), nl, p, pos); err != nil {
@@ -593,45 +460,13 @@ func (e *Engine[T]) TryForcesPairlist(nl *md.NeighborList[T], p md.Params[T], po
 	}
 	n := pos.Len()
 	total := nl.PairCount()
-	rc2 := p.Cutoff * p.Cutoff
 	err := e.run(func(w int) {
 		sh := &e.shards[w]
 		sh.acc.Resize(n)
 		sh.acc.Zero()
 		// Worker w owns the flattened pair range [lo, hi).
-		lo := w * total / e.workers
-		hi := (w + 1) * total / e.workers
-		var pe T
-		seen := 0
-		for i := 0; i < n && seen < hi; i++ {
-			js := nl.Neighbors(i)
-			if seen+len(js) <= lo {
-				seen += len(js)
-				continue
-			}
-			from, to := 0, len(js)
-			if lo > seen {
-				from = lo - seen
-			}
-			if hi < seen+len(js) {
-				to = hi - seen
-			}
-			seen += len(js)
-			pi := pos.At(i)
-			for _, j := range js[from:to] {
-				d := md.MinImage(pi.Sub(pos.At(int(j))), p.Box)
-				r2 := d.Norm2()
-				if r2 >= rc2 || r2 == 0 {
-					continue
-				}
-				v, f := md.LJPair(p, r2)
-				pe += v
-				fd := d.Scale(f)
-				sh.acc.Add(i, fd)
-				sh.acc.Sub(int(j), fd)
-			}
-		}
-		sh.pe = pe
+		lo, hi := e.shardRange(total, w)
+		sh.pe = md.ForcesPairRange(nl, p, pos, sh.acc, lo, hi)
 	})
 	if err != nil {
 		return 0, err

@@ -26,6 +26,17 @@ func makeState(t testing.TB, n int) (*lattice.State, md.Params[float64]) {
 	return st, md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}
 }
 
+// must returns a kernel's energy, failing the test on a kernel error.
+func must(t testing.TB) func(float64, error) float64 {
+	return func(pe float64, err error) float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pe
+	}
+}
+
 func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / (1 + math.Abs(a))
 }
@@ -58,7 +69,7 @@ func TestDirectOneWorkerBitwise(t *testing.T) {
 	defer e.Close()
 	accPar := md.MakeCoords[float64](pos.Len())
 	accRef := md.MakeCoords[float64](pos.Len())
-	pePar := e.ForcesDirect(p, pos, accPar)
+	pePar := must(t)(e.TryForcesDirect(p, pos, accPar))
 	peRef := md.ComputeForcesFull(p, pos, accRef)
 	if pePar != peRef {
 		t.Fatalf("PE differs bitwise: parallel %v, serial %v", pePar, peRef)
@@ -82,7 +93,10 @@ func TestDirectMatchesSerial(t *testing.T) {
 	for _, w := range workerCounts {
 		e := New[float64](w)
 		acc := md.MakeCoords[float64](pos.Len())
-		pe, pairs := e.ForcesDirectCount(p, pos, acc)
+		pe, pairs, err := e.forcesDirectCount(p, pos, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if pairs != wantPairs {
 			t.Errorf("w=%d: %d interacting pairs, want %d", w, pairs, wantPairs)
 		}
@@ -119,7 +133,7 @@ func TestCellMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc := md.MakeCoords[float64](pos.Len())
-		pe := e.ForcesCell(cl, p, pos, acc)
+		pe := must(t)(e.TryForcesCell(cl, p, pos, acc))
 		if d := relDiff(pe, peRef); d > 1e-12 {
 			t.Errorf("w=%d: PE %v vs serial cells %v (rel %v)", w, pe, peRef, d)
 		}
@@ -148,7 +162,7 @@ func TestPairlistMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc := md.MakeCoords[float64](pos.Len())
-		pe := e.ForcesPairlist(nl, p, pos, acc)
+		pe := must(t)(e.TryForcesPairlist(nl, p, pos, acc))
 		if d := relDiff(pe, peRef); d > 1e-12 {
 			t.Errorf("w=%d: PE %v vs serial pairlist %v (rel %v)", w, pe, peRef, d)
 		}
@@ -179,7 +193,7 @@ func TestPairlistOneWorkerBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := md.MakeCoords[float64](pos.Len())
-	pe := e.ForcesPairlist(nl, p, pos, acc)
+	pe := must(t)(e.TryForcesPairlist(nl, p, pos, acc))
 	if pe != peRef {
 		t.Fatalf("PE differs bitwise: %v vs %v", pe, peRef)
 	}
@@ -190,33 +204,41 @@ func TestPairlistOneWorkerBitwise(t *testing.T) {
 	}
 }
 
-// TestInstrumentedLedgerWorkerInvariant: the merged op ledger depends
-// only on the pairs visited, so it must be identical for every worker
-// count, and the physics must be unchanged by instrumentation.
-func TestInstrumentedLedgerWorkerInvariant(t *testing.T) {
-	st, p := makeState(t, 256)
-	pos := md.CoordsFromV3(st.Pos)
-	e1 := New[float64](1)
-	defer e1.Close()
+// TestPairlistMoreWorkersThanPairs shards a 3-pair list over 8
+// workers, so most chunks are empty and the rest hold one pair each,
+// with an empty row in the middle of the list; the result must still
+// match the serial list kernel.
+func TestPairlistMoreWorkersThanPairs(t *testing.T) {
+	p := md.Params[float64]{Box: 10, Cutoff: 2.5, Dt: 0.004}
+	// Pairs (0,1), (1,3), (3,4); atom 2 sits far off the line.
+	pos := md.CoordsFromV3([]vec.V3[float64]{
+		{X: 1, Y: 1, Z: 1}, {X: 3, Y: 1, Z: 1}, {X: 5, Y: 6, Z: 6},
+		{X: 5, Y: 1, Z: 1}, {X: 7, Y: 1, Z: 1},
+	})
+	nlRef, err := md.NewNeighborList[float64](0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accRef := md.MakeCoords[float64](pos.Len())
+	peRef := nlRef.Forces(p, pos, accRef)
+	if got := nlRef.PairCount(); got != 3 {
+		t.Fatalf("fixture has %d pairs, want 3", got)
+	}
+	e := New[float64](8)
+	defer e.Close()
+	nl, err := md.NewNeighborList[float64](0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	acc := md.MakeCoords[float64](pos.Len())
-	peWant := e1.ForcesDirect(p, pos, acc)
-	pe1, want := e1.ForcesDirectInstrumented(p, pos, acc)
-	if pe1 != peWant {
-		t.Fatalf("instrumentation changed the PE: %v vs %v", pe1, peWant)
+	pe := must(t)(e.TryForcesPairlist(nl, p, pos, acc))
+	if d := relDiff(pe, peRef); d > 1e-12 {
+		t.Errorf("PE %v vs serial pairlist %v (rel %v)", pe, peRef, d)
 	}
-	if want.Total() == 0 {
-		t.Fatal("instrumented ledger is empty")
-	}
-	for _, w := range workerCounts[1:] {
-		e := New[float64](w)
-		pe, got := e.ForcesDirectInstrumented(p, pos, acc)
-		if got != want {
-			t.Errorf("w=%d: ledger %v, want %v", w, got.String(), want.String())
+	for i := 0; i < acc.Len(); i++ {
+		if acc.At(i).Sub(accRef.At(i)).Norm() > 1e-12*(1+accRef.At(i).Norm()) {
+			t.Fatalf("acc[%d] = %+v, want %+v", i, acc.At(i), accRef.At(i))
 		}
-		if d := relDiff(pe, peWant); d > 1e-12 {
-			t.Errorf("w=%d: PE %v, want %v", w, pe, peWant)
-		}
-		e.Close()
 	}
 }
 
@@ -236,19 +258,19 @@ func TestTrajectoryReuse(t *testing.T) {
 		var forces func() float64
 		switch kernel {
 		case "direct":
-			forces = func() float64 { return e.ForcesDirect(par.P, par.Pos, par.Acc) }
+			forces = func() float64 { return must(t)(e.TryForcesDirect(par.P, par.Pos, par.Acc)) }
 		case "cell":
 			cl, err := md.NewCellList(par.P.Box, par.P.Cutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forces = func() float64 { return e.ForcesCell(cl, par.P, par.Pos, par.Acc) }
+			forces = func() float64 { return must(t)(e.TryForcesCell(cl, par.P, par.Pos, par.Acc)) }
 		case "pairlist":
 			nl, err := md.NewNeighborList[float64](0.4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forces = func() float64 { return e.ForcesPairlist(nl, par.P, par.Pos, par.Acc) }
+			forces = func() float64 { return must(t)(e.TryForcesPairlist(nl, par.P, par.Pos, par.Acc)) }
 		}
 		for s := 0; s < steps; s++ {
 			ref.Step()
@@ -274,7 +296,10 @@ func TestFloat32Instantiation(t *testing.T) {
 	defer e.Close()
 	acc := md.MakeCoords[float32](pos.Len())
 	accRef := md.MakeCoords[float32](pos.Len())
-	pe := e.ForcesDirect(p, pos, acc)
+	pe, err := e.TryForcesDirect(p, pos, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	peRef := md.ComputeForcesFull(p, pos, accRef)
 	if rel := math.Abs(float64(pe-peRef)) / math.Abs(float64(peRef)); rel > 1e-5 {
 		t.Fatalf("float32 PE mismatch: %v vs %v (rel %v)", pe, peRef, rel)
@@ -301,14 +326,14 @@ func TestEmptyAndTinySystems(t *testing.T) {
 	e := New[float64](4)
 	defer e.Close()
 	// No atoms.
-	if pe := e.ForcesDirect(p, md.Coords[float64]{}, md.Coords[float64]{}); pe != 0 {
+	if pe := must(t)(e.TryForcesDirect(p, md.Coords[float64]{}, md.Coords[float64]{})); pe != 0 {
 		t.Fatalf("empty system PE = %v", pe)
 	}
 	// Fewer atoms than workers.
 	pos := md.CoordsFromV3([]vec.V3[float64]{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 1}})
 	acc := md.MakeCoords[float64](2)
 	accRef := md.MakeCoords[float64](2)
-	pe := e.ForcesDirect(p, pos, acc)
+	pe := must(t)(e.TryForcesDirect(p, pos, acc))
 	peRef := md.ComputeForcesFull(p, pos, accRef)
 	if pe != peRef {
 		t.Fatalf("2-atom PE %v, want %v", pe, peRef)

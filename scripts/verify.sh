@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate, in escalating
-# cost order: compile, vet, the whole test suite, the race-detector
+# cost order: compile, vet, gofmt, the whole test suite, the race-detector
 # pass over the sharded/recovery/scheduling paths (tier-1.5), and the
 # project static-analysis suite (mdlint). Any failure fails the gate.
 set -eu
@@ -12,6 +12,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l . (every Go file gofmt-clean)"
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+    printf '%s\n' "$UNFORMATTED" >&2
+    echo "verify: the files above are not gofmt-formatted; run gofmt -w on them" >&2
+    exit 1
+fi
 
 echo "==> go test ./..."
 go test ./...
