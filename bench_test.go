@@ -569,6 +569,47 @@ func BenchmarkNeighborBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPressure times the end-of-run pressure: the O(N²) md.Pressure
+// oracle against mdrun's O(N) Runner.Pressure on the same state, which
+// returns the same bits. Set BENCH_JSON=<path> to append JSON-Lines
+// records.
+func BenchmarkPressure(b *testing.B) {
+	sink := report.NewBenchSink()
+	defer appendBenchJSON(b, sink)
+
+	for _, n := range []int{2048, 8000} {
+		r, err := mdrun.New(mdrun.Config{
+			Atoms: n, Density: 0.8442, Temperature: 0.728,
+			Lattice: lattice.FCC, Seed: 7, Cutoff: 2.5, Dt: 0.004,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys := r.System()
+		arms := []struct {
+			name     string
+			pressure func() float64
+		}{
+			{"oracle", func() float64 { return md.Pressure(sys.P, sys.Pos, sys.Temperature()) }},
+			{"runner", r.Pressure},
+		}
+		for _, arm := range arms {
+			b.Run(fmt.Sprintf("%s/n%d", arm.name, n), func(b *testing.B) {
+				arm.pressure() // size the runner's grid outside the window
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					arm.pressure()
+				}
+				b.StopTimer()
+				sink.Record(fmt.Sprintf("Pressure/%s_n%d", arm.name, n), map[string]float64{
+					"ns_per_op": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+				})
+			})
+		}
+		r.Close()
+	}
+}
+
 // BenchmarkMixedPrecision compares the mixed-precision float32 host
 // fast path (float32 pair geometry, float64 accumulation) against the
 // all-float64 kernels it shadows: the Verlet-list kernel serial and

@@ -11,7 +11,8 @@ import (
 // backoff functions without ever observing a context. The repository's
 // cancellation contract (PR 3) is that a cancelled run stops within one
 // MD step: deadlines propagate from the fleet scheduler through
-// guard.RunContext and mdrun.RunContext into the parallel worker pool.
+// guard.RunContext and mdrun's Runner.Advance into the parallel worker
+// pool.
 // A loop that steps the simulation but never consults ctx is a hole in
 // that chain; it turns a per-replica timeout into a wish.
 //
@@ -31,7 +32,7 @@ var CtxLoop = &Analyzer{
 // and the sleep/backoff/waiting primitives of the retry machinery.
 var ctxSteppers = map[string]bool{
 	"Step": true, "StepWith": true, "StepWithE": true,
-	"Run": true, "RunContext": true,
+	"Run": true, "RunContext": true, "Advance": true,
 	"TryForcesDirect": true, "TryForcesPairlist": true, "TryForcesCell": true,
 	"BuildPairlist": true, "BuildRow": true,
 	"Sleep": true, "Submit": true, "Wait": true,

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -108,6 +109,10 @@ func TestBatchIsolatesPoisonedReplica(t *testing.T) {
 		}
 		sameSystem(t, r.Final, sup.System())
 		sup.Close()
+		f := r.Final
+		if p := md.Pressure(f.P, f.Pos, f.Temperature()); math.Float64bits(r.Summary.Pressure) != math.Float64bits(p) {
+			t.Fatalf("replica %d: summary pressure %v, md.Pressure %v", i, r.Summary.Pressure, p)
+		}
 	}
 }
 

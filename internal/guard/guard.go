@@ -228,11 +228,16 @@ func (s *Supervisor) Run(steps int) (*mdrun.Summary, *RunReport, error) {
 	return s.RunContext(context.Background(), steps)
 }
 
-// RunContext is Run bounded by a context. Cancellation (or deadline
-// expiry) is deliberate, not transient: it is logged as a single
-// IncidentCancelled, never retried or escalated, and surfaces as an
-// error wrapping ctx.Err() within one MD step of the cancellation —
-// the property the batch scheduler's per-replica timeouts rely on.
+// RunContext is Run bounded by a context. Segments step through
+// mdrun.Runner.Advance, which skips the end-of-run observables, and the
+// final Summary's Pressure comes from one Runner.Pressure call on the
+// final state: O(N), and bitwise equal to md.Pressure of that state.
+//
+// Cancellation (or deadline expiry) is deliberate, not transient: it
+// is logged as a single IncidentCancelled, never retried or escalated,
+// and surfaces as an error wrapping ctx.Err() within one MD step of
+// the cancellation — the property the batch scheduler's per-replica
+// timeouts rely on.
 func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary, *RunReport, error) {
 	rep := s.report
 	if s.ran {
@@ -256,7 +261,7 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 		if rem := target - sys.Steps; rem < seg {
 			seg = rem
 		}
-		sum, err := s.runner.RunContext(ctx, seg)
+		sum, err := s.runner.Advance(ctx, seg)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				rep.log(s.runner.System().Steps, attempt, sim.IncidentCancelled, err.Error())
@@ -302,7 +307,7 @@ func (s *Supervisor) RunContext(ctx context.Context, steps int) (*mdrun.Summary,
 		Steps:         steps,
 		InitialEnergy: s.e0,
 		FinalEnergy:   sys.TotalEnergy(),
-		Pressure:      md.Pressure(sys.P, sys.Pos, sys.Temperature()),
+		Pressure:      s.runner.Pressure(),
 	}
 	if tempW > 0 {
 		final.MeanTemperature = tempSum / tempW

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/lattice"
+	"repro/internal/md"
 	"repro/internal/mdrun"
 	"repro/internal/sim"
 )
@@ -25,16 +27,28 @@ func baseRun(method mdrun.ForceMethod, atoms, workers int) mdrun.Config {
 
 // TestCleanRunMatchesPlainRun: with no faults, supervision must be
 // invisible — the guarded trajectory is bitwise the plain runner's,
-// the report shows zero incidents, and checkpoints land on disk.
+// so is the summary's pressure, the report shows zero incidents, and
+// checkpoints land on disk. The 108-atom direct case takes the O(N²)
+// pressure fallback, the 864-atom pairlist case the O(N) cell path.
 func TestCleanRunMatchesPlainRun(t *testing.T) {
-	cfg := baseRun(mdrun.Direct, 108, 1)
+	for _, c := range []struct {
+		method mdrun.ForceMethod
+		atoms  int
+	}{{mdrun.Direct, 108}, {mdrun.Pairlist, 864}} {
+		t.Run(fmt.Sprintf("%v/n%d", c.method, c.atoms), func(t *testing.T) {
+			checkCleanRunMatchesPlainRun(t, baseRun(c.method, c.atoms, 1))
+		})
+	}
+}
 
+func checkCleanRunMatchesPlainRun(t *testing.T, cfg mdrun.Config) {
 	plain, err := mdrun.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if _, err := plain.Run(50); err != nil {
+	want, err := plain.Run(50)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,6 +76,12 @@ func TestCleanRunMatchesPlainRun(t *testing.T) {
 	}
 	if sum.FinalEnergy != a.TotalEnergy() {
 		t.Fatalf("summary energy %v vs %v", sum.FinalEnergy, a.TotalEnergy())
+	}
+	if math.Float64bits(sum.Pressure) != math.Float64bits(want.Pressure) {
+		t.Fatalf("summary pressure %v vs plain run's %v", sum.Pressure, want.Pressure)
+	}
+	if oracle := md.Pressure(b.P, b.Pos, b.Temperature()); math.Float64bits(sum.Pressure) != math.Float64bits(oracle) {
+		t.Fatalf("summary pressure %v vs md.Pressure %v", sum.Pressure, oracle)
 	}
 	if rep.Counts.Total() != 0 || rep.Rollbacks != 0 || !rep.Completed {
 		t.Fatalf("clean run logged incidents: %v", rep)

@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -152,10 +153,19 @@ func (m *MSD) Value() float64 {
 }
 
 // Virial computes the instantaneous virial sum W = Σ_pairs f·r and the
-// corresponding pressure P = (N k T + W/3) / V for the LJ system.
+// corresponding pressure P = (N k T + W/3) / V for the LJ system. It is
+// the O(N²) reference scan: pairs i < j in ascending (i, j) order. The
+// run layers evaluate it through VirialScratch, which adds the same
+// terms in the same order in O(N); Virial stays as the oracle.
 func Virial(p Params[float64], pos Coords[float64]) float64 {
+	return virialN2(p, pos)
+}
+
+// virialN2 is Virial at any width: the fallback VirialScratch shares
+// with the oracle.
+func virialN2[T vec.Float](p Params[T], pos Coords[T]) T {
 	rc2 := p.Cutoff * p.Cutoff
-	var w float64
+	var w T
 	n := pos.Len()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -174,9 +184,100 @@ func Virial(p Params[float64], pos Coords[float64]) float64 {
 // Pressure returns the instantaneous pressure from the virial theorem
 // (unit masses, k_B = 1).
 func Pressure(p Params[float64], pos Coords[float64], temperature float64) float64 {
+	return pressureOf(p, pos.Len(), temperature, Virial(p, pos))
+}
+
+// pressureOf turns a virial sum over n atoms into a pressure.
+func pressureOf[T vec.Float](p Params[T], n int, temperature, w T) T {
 	vol := p.Box * p.Box * p.Box
-	n := float64(pos.Len())
-	return (n*temperature + Virial(p, pos)/3) / vol
+	return (T(n)*temperature + w/3) / vol
+}
+
+// VirialScratch evaluates Virial and Pressure in O(N) at fixed density
+// and returns the same bits. It bins atoms into a cell grid whose cells
+// are at least r_c wide, so every partner j > i within r_c of atom i
+// lies in i's cell or one of its 26 neighbors. For each i it gathers
+// those partners, sorts them ascending, and adds f·r² in that order:
+// exactly the terms, and the addition sequence, of Virial's scan.
+// Boxes too small for a 3×3×3 grid, and positions outside [-box, 2·box)
+// or non-finite, take the O(N²) scan itself.
+//
+// The grid's arenas and the one row buffer grow once and are reused,
+// so repeated evaluations at a fixed atom count allocate nothing. The
+// zero value is ready to use. A VirialScratch is not safe for
+// concurrent use.
+type VirialScratch[T vec.Float] struct {
+	grid CellList[T]
+	row  []int32
+}
+
+// virialCellMargin widens the virial grid's cells by a relative hair
+// over r_c. Folding and binning round each coordinate by a few ulps of
+// the box; with at most maxBuildGridDims cells per edge that is far
+// below 2^-20 of a cell, so a pair inside r_c can never land in
+// non-adjacent cells.
+const virialCellMargin = 1 + 0x1p-20
+
+// Virial returns Virial(p, pos) bit for bit.
+func (vs *VirialScratch[T]) Virial(p Params[T], pos Coords[T]) T {
+	n := pos.Len()
+	dims := buildGridDims(p.Box, p.Cutoff*virialCellMargin, n)
+	if dims == 0 || !inFoldRange(pos, p.Box) {
+		return virialN2(p, pos)
+	}
+	grid := &vs.grid
+	grid.reinit(p.Box, dims)
+	grid.BinWrapped(pos)
+	order, packed := grid.order, grid.packed
+	rc2 := p.Cutoff * p.Cutoff
+	var w T
+	var cellbuf [27]int
+	for i := 0; i < n; i++ {
+		pi := pos.At(i)
+		row := vs.row[:0]
+		for _, c := range grid.NeighborCells(grid.CellOfWrapped(pi), cellbuf[:]) {
+			lo, hi := grid.CellSpan(c)
+			k := lo
+			for k < hi && int(order[k]) <= i {
+				k++
+			}
+			for ; k < hi; k++ {
+				d := MinImage(pi.Sub(packed.At(int(k))), p.Box)
+				if r2 := d.Norm2(); r2 < rc2 && r2 != 0 {
+					row = append(row, order[k])
+				}
+			}
+		}
+		slices.Sort(row)
+		for _, j := range row {
+			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
+			r2 := d.Norm2()
+			_, f := LJPair(p, r2)
+			w += f * r2
+		}
+		vs.row = row
+	}
+	return w
+}
+
+// Pressure returns Pressure(p, pos, temperature) bit for bit.
+func (vs *VirialScratch[T]) Pressure(p Params[T], pos Coords[T], temperature T) T {
+	return pressureOf(p, pos.Len(), temperature, vs.Virial(p, pos))
+}
+
+// inFoldRange reports whether every coordinate lies in [-box, 2·box).
+// There foldCoord moves a coordinate by at most one box, exactly or
+// within an ulp of the box, so a folded pair keeps its minimum-image
+// distance. NaN and ±Inf fail the test.
+func inFoldRange[T vec.Float](pos Coords[T], box T) bool {
+	for _, plane := range [3][]T{pos.X, pos.Y, pos.Z} {
+		for _, x := range plane {
+			if !(x >= -box && x < 2*box) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // VACF accumulates the velocity autocorrelation function

@@ -1,6 +1,7 @@
 package md
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -267,5 +268,116 @@ func TestVACFSizeMismatch(t *testing.T) {
 	}
 	if err := v.Track(MakeCoords[float64](5)); err == nil {
 		t.Fatal("size change accepted")
+	}
+}
+
+// TestVirialScratchMatchesOracle pins VirialScratch bit for bit
+// against the O(N²) Virial and Pressure, on liquid lattices below and
+// above the 3-cell threshold, on a box of exactly 3 cells per edge,
+// with coordinates folded in from just outside [0, box), shifted and
+// unshifted, with non-unit ε/σ. One scratch serves every case, so grid
+// re-geometry and arena reuse are covered too.
+func TestVirialScratchMatchesOracle(t *testing.T) {
+	var vs VirialScratch[float64]
+	check := func(label string, p Params[float64], pos Coords[float64], wantGrid bool) {
+		t.Helper()
+		builds := vs.grid.Builds()
+		w := vs.Virial(p, pos)
+		if ran := vs.grid.Builds() > builds; ran != wantGrid {
+			t.Fatalf("%s: cell path ran = %v, want %v", label, ran, wantGrid)
+		}
+		if want := Virial(p, pos); math.Float64bits(w) != math.Float64bits(want) {
+			t.Fatalf("%s: virial %v (%#x), oracle %v (%#x)", label, w, math.Float64bits(w), want, math.Float64bits(want))
+		}
+		got, want := vs.Pressure(p, pos, 0.9), Pressure(p, pos, 0.9)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: pressure %v, oracle %v", label, got, want)
+		}
+	}
+	rng := xrand.New(31)
+	for _, tc := range []struct {
+		n    int
+		grid bool
+		dims int
+	}{
+		{108, false, 0}, // box 5.0 < 3·r_c
+		{500, true, 3},  // box 8.4: exactly 3 cells per edge
+		{864, true, 4},
+		{2048, true, 5},
+	} {
+		for _, shifted := range []bool{false, true} {
+			s := makeSystemDensity(t, tc.n, 0.8442)
+			p := s.P
+			p.Epsilon, p.Sigma, p.Shifted = 1.3, 0.95, shifted
+			pos := s.Pos
+			box := p.Box
+			// Thermal jitter, then periodic images of the same state
+			// whose coordinates lie just outside [0, box), a whole box
+			// out, or on the edges, the cases BinWrapped folds.
+			for i := 0; i < tc.n; i++ {
+				pos.X[i] += 0.05 * (rng.Float64() - 0.5)
+				pos.Y[i] += 0.05 * (rng.Float64() - 0.5)
+				switch i % 4 {
+				case 0:
+					pos.X[i] -= box
+				case 1:
+					pos.Y[i] += box
+				case 2:
+					if pos.Z[i] < 0.3 {
+						pos.Z[i] += box
+					} else if pos.Z[i] > box-0.3 {
+						pos.Z[i] -= box
+					}
+				case 3:
+					if pos.Z[i] < 0.05 {
+						pos.Z[i] = math.Nextafter(0, -1)
+					} else if pos.Z[i] > box-0.05 {
+						pos.Z[i] = box
+					}
+				}
+			}
+			label := fmt.Sprintf("n%d/shifted=%v", tc.n, shifted)
+			check(label, p, pos, tc.grid)
+			if tc.grid && vs.grid.Dims() != tc.dims {
+				t.Fatalf("%s: %d cells per edge, want %d", label, vs.grid.Dims(), tc.dims)
+			}
+		}
+	}
+
+	// Random gas in boxes at and just below the threshold: 3·r_c·1.2
+	// bins into exactly 3 cells per edge, 3·r_c itself is inside the
+	// cell margin and scans.
+	p := Params[float64]{Cutoff: 2.5, Epsilon: 1.3, Sigma: 0.95, Shifted: true}
+	for _, c := range []struct {
+		box  float64
+		grid bool
+	}{{3 * 2.5 * 1.2, true}, {3 * 2.5, false}} {
+		p.Box = c.box
+		pos := randomPositions(rng, 300, c.box)
+		check(fmt.Sprintf("gas box %v", c.box), p, pos, c.grid)
+		if c.grid && vs.grid.Dims() != 3 {
+			t.Fatalf("gas box %v: %d cells per edge, want 3", c.box, vs.grid.Dims())
+		}
+	}
+
+	// Coordinates the fold cannot bring within a box of their minimum
+	// image, and non-finite ones, take the scan itself.
+	p.Box = 10
+	for _, bad := range []float64{2 * p.Box, -1.5 * p.Box, 1e9, math.NaN(), math.Inf(1)} {
+		pos := randomPositions(rng, 200, p.Box)
+		pos.Y[17] = bad
+		check(fmt.Sprintf("coordinate %v", bad), p, pos, false)
+	}
+}
+
+// TestVirialScratchAllocsNothingWhenWarm pins the grow-once contract:
+// after the first evaluation sizes the grid and the row buffer, further
+// evaluations at the same atom count allocate nothing.
+func TestVirialScratchAllocsNothingWhenWarm(t *testing.T) {
+	s := makeSystemDensity(t, 864, 0.8442)
+	var vs VirialScratch[float64]
+	vs.Virial(s.P, s.Pos)
+	if a := testing.AllocsPerRun(5, func() { vs.Virial(s.P, s.Pos) }); a != 0 {
+		t.Fatalf("warm VirialScratch.Virial allocates %v times per call", a)
 	}
 }

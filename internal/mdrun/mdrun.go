@@ -123,7 +123,8 @@ type Summary struct {
 	FinalEnergy   float64
 	// MeanTemperature averages the sampled instantaneous temperatures.
 	MeanTemperature float64
-	// Pressure is the final-configuration virial pressure.
+	// Pressure is the final-configuration virial pressure, bitwise
+	// equal to md.Pressure of the final state (see Runner.Pressure).
 	Pressure float64
 	// MSD is the mean-square displacement over the whole run.
 	MSD float64
@@ -145,6 +146,7 @@ type Runner struct {
 	rdf    *md.RDF
 	msd    *md.MSD
 	engine *parallel.Engine[float64] // non-nil for the Parallel* methods with Workers > 1
+	vir    md.VirialScratch[float64] // Pressure's cell grid and row buffer
 
 	// runCtx is the context of the Run in progress; the shared-engine
 	// build path reads it so a cancelled replica abandons its build
@@ -290,15 +292,34 @@ func (r *Runner) Run(steps int) (*Summary, error) {
 	return r.RunContext(context.Background(), steps)
 }
 
-// RunContext is Run bounded by a context: cancellation (or deadline
-// expiry) is checked at every step boundary and inside the parallel
-// worker pool, so a cancelled run stops within one MD step — with a
-// partial Summary and an error wrapping ctx.Err() — rather than at run
-// end. Cancellation caught at a step boundary leaves the system at
-// whole-step state; cancellation that lands mid-force-evaluation is a
-// failed step like any other (state may be mid-step; the guard
+// RunContext is Advance followed by the end-of-run observables:
+// Pressure, MSD and, with Config.SampleRDF, the RDF. Cancellation (or
+// deadline expiry) is checked at every step boundary and inside the
+// parallel worker pool, so a cancelled run stops within one MD step —
+// with a partial Summary and an error wrapping ctx.Err() — rather than
+// at run end. Cancellation caught at a step boundary leaves the system
+// at whole-step state; cancellation that lands mid-force-evaluation is
+// a failed step like any other (state may be mid-step; the guard
 // supervisor rolls back before reuse).
 func (r *Runner) RunContext(ctx context.Context, steps int) (*Summary, error) {
+	sum, err := r.Advance(ctx, steps)
+	if err != nil {
+		return sum, err
+	}
+	sum.Pressure = r.Pressure()
+	sum.MSD = r.msd.Value()
+	if r.rdf != nil {
+		sum.RDFCenters, sum.RDF = r.rdf.Result()
+	}
+	return sum, nil
+}
+
+// Advance is RunContext without the end-of-run observables: it steps,
+// samples and writes the trajectory exactly as RunContext does, and
+// its Summary leaves Pressure, MSD and RDF zero. The guard supervisor
+// steps its segments through Advance and asks Pressure once at the
+// end. Failures return the same partial Summary as RunContext.
+func (r *Runner) Advance(ctx context.Context, steps int) (*Summary, error) {
 	if steps < 0 {
 		return nil, fmt.Errorf("mdrun: steps must be non-negative, got %d", steps)
 	}
@@ -361,10 +382,14 @@ func (r *Runner) RunContext(ctx context.Context, steps int) (*Summary, error) {
 	if tempSamples > 0 {
 		sum.MeanTemperature = tempSum / float64(tempSamples)
 	}
-	sum.Pressure = md.Pressure(sys.P, sys.Pos, sys.Temperature())
-	sum.MSD = r.msd.Value()
-	if r.rdf != nil {
-		sum.RDFCenters, sum.RDF = r.rdf.Result()
-	}
 	return sum, nil
+}
+
+// Pressure returns the virial pressure of the current state, bitwise
+// equal to md.Pressure(sys.P, sys.Pos, sys.Temperature()). It runs in
+// O(N) on the runner's own md.VirialScratch, which keeps its cell grid
+// and row buffer between calls.
+func (r *Runner) Pressure() float64 {
+	sys := r.sys
+	return r.vir.Pressure(sys.P, sys.Pos, sys.Temperature())
 }

@@ -2,6 +2,8 @@ package mdrun
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -183,6 +185,8 @@ func TestMSDGrows(t *testing.T) {
 	}
 }
 
+// TestPressurePositiveAtLiquidDensity: the summary's pressure is
+// finite and bitwise md.Pressure of the final state.
 func TestPressurePositiveAtLiquidDensity(t *testing.T) {
 	r, err := New(baseConfig())
 	if err != nil {
@@ -194,6 +198,113 @@ func TestPressurePositiveAtLiquidDensity(t *testing.T) {
 	}
 	if math.IsNaN(sum.Pressure) || math.IsInf(sum.Pressure, 0) {
 		t.Fatalf("pressure = %v", sum.Pressure)
+	}
+	sys := r.System()
+	if want := md.Pressure(sys.P, sys.Pos, sys.Temperature()); math.Float64bits(sum.Pressure) != math.Float64bits(want) {
+		t.Fatalf("pressure = %v, md.Pressure = %v", sum.Pressure, want)
+	}
+}
+
+// TestRunnerPressureMatchesOracle pins Runner.Pressure, and the
+// Summary.Pressure RunContext reports, bitwise to md.Pressure for every
+// serial method, below the 3-cell threshold (256 atoms, the O(N²)
+// fallback) and above it (864 atoms, the cell path), shifted or not,
+// with non-unit ε/σ, at several points along a run.
+func TestRunnerPressureMatchesOracle(t *testing.T) {
+	for _, m := range allMethods {
+		if m.Serial() != m {
+			continue
+		}
+		for _, atoms := range []int{256, 864} {
+			if atoms < 864 && (m == CellGrid || m == CellGridF32) {
+				continue // the cell kernels need a box of 3 cutoffs
+			}
+			for _, shifted := range []bool{false, true} {
+				name := fmt.Sprintf("%v/n%d/shifted=%v", m, atoms, shifted)
+				t.Run(name, func(t *testing.T) {
+					checkRunnerPressure(t, m, atoms, shifted)
+				})
+			}
+		}
+	}
+}
+
+func checkRunnerPressure(t *testing.T, m ForceMethod, atoms int, shifted bool) {
+	st, err := lattice.Generate(lattice.Config{
+		N: atoms, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := md.NewSystem(st, md.Params[float64]{
+		Box: st.Box, Cutoff: 2.5, Dt: 0.004, Epsilon: 1.3, Sigma: 0.95, Shifted: shifted,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewFromSystem(sys, Config{Method: m, Shifted: shifted, Temperature: 0.728})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	same := func(at string, got float64) {
+		t.Helper()
+		want := md.Pressure(sys.P, sys.Pos, sys.Temperature())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: pressure %v, md.Pressure %v", at, got, want)
+		}
+	}
+	same("step 0", r.Pressure())
+	for k := 0; k < 3; k++ {
+		if _, err := r.Advance(context.Background(), 7); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("step %d", sys.Steps), r.Pressure())
+	}
+	sum, err := r.Run(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("summary", sum.Pressure)
+}
+
+// TestAdvanceSkipsEndOfRunObservables: Advance steps exactly as
+// RunContext does but leaves Pressure, MSD and RDF zero, which
+// RunContext fills.
+func TestAdvanceSkipsEndOfRunObservables(t *testing.T) {
+	cfg := baseConfig()
+	cfg.SampleRDF = true
+	adv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := adv.Advance(context.Background(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := run.RunContext(context.Background(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Pressure != 0 || a.MSD != 0 || a.RDF != nil || a.RDFCenters != nil {
+		t.Fatalf("Advance filled end-of-run observables: %+v", a)
+	}
+	if r.Pressure == 0 || r.MSD <= 0 || len(r.RDF) != cfg.withDefaults().RDFBins {
+		t.Fatalf("RunContext left end-of-run observables empty: %+v", r)
+	}
+	if a.Steps != r.Steps || a.InitialEnergy != r.InitialEnergy || a.FinalEnergy != r.FinalEnergy ||
+		a.MeanTemperature != r.MeanTemperature || a.FramesWritten != r.FramesWritten {
+		t.Fatalf("Advance summary %+v differs from RunContext's %+v", a, r)
+	}
+	as, rs := adv.System(), run.System()
+	for i := 0; i < as.N(); i++ {
+		if as.Pos.At(i) != rs.Pos.At(i) || as.Vel.At(i) != rs.Vel.At(i) || as.Acc.At(i) != rs.Acc.At(i) {
+			t.Fatalf("Advance and RunContext states differ at atom %d", i)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/guard"
+	"repro/internal/md"
 )
 
 // testSpec is the standard small job the suite runs: tiny FCC box,
@@ -115,8 +116,9 @@ func awaitReport(t *testing.T, hs *httptest.Server, id string) TerminalRecord {
 }
 
 // oracleEnergy runs the spec start-to-finish under guard directly —
-// the same stack the server uses — and returns the final energy.
-func oracleEnergy(t *testing.T, sp Spec, steps int) float64 {
+// the same stack the server uses — and returns the final energy and
+// md.Pressure of the final state.
+func oracleEnergy(t *testing.T, sp Spec, steps int) (energy, pressure float64) {
 	t.Helper()
 	gcfg, err := sp.Normalized().GuardConfig(filepath.Join(t.TempDir(), "ckpt"))
 	if err != nil {
@@ -132,7 +134,8 @@ func oracleEnergy(t *testing.T, sp Spec, steps int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum.FinalEnergy
+	sys := sup.System()
+	return sum.FinalEnergy, md.Pressure(sys.P, sys.Pos, sys.Temperature())
 }
 
 // TestSubmitAndComplete pins the basic serving contract: a valid spec
@@ -158,9 +161,12 @@ func TestSubmitAndComplete(t *testing.T) {
 	if rec.Summary.Steps != 30 {
 		t.Fatalf("summary steps = %d, want 30", rec.Summary.Steps)
 	}
-	want := oracleEnergy(t, sp, 30)
+	want, pressure := oracleEnergy(t, sp, 30)
 	if rec.Summary.FinalEnergy != want {
 		t.Fatalf("served FinalEnergy %v != direct run %v", rec.Summary.FinalEnergy, want)
+	}
+	if math.Float64bits(rec.Summary.Pressure) != math.Float64bits(pressure) {
+		t.Fatalf("served Pressure %v != md.Pressure %v of the direct run", rec.Summary.Pressure, pressure)
 	}
 
 	// The status endpoint agrees, and carries progress.
@@ -333,7 +339,7 @@ func TestDurableResume(t *testing.T) {
 	if rec.Summary.Steps != sp.Steps {
 		t.Fatalf("resumed summary steps = %d, want %d", rec.Summary.Steps, sp.Steps)
 	}
-	want := oracleEnergy(t, sp, sp.Steps)
+	want, _ := oracleEnergy(t, sp, sp.Steps)
 	if diff := math.Abs(rec.Summary.FinalEnergy - want); !(diff <= 1e-8*math.Max(1, math.Abs(want))) {
 		t.Fatalf("resumed FinalEnergy %v vs uninterrupted %v (diff %g)", rec.Summary.FinalEnergy, want, diff)
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gate, in escalating
-# cost order: compile, vet, gofmt, the whole test suite, the race-detector
-# pass over the sharded/recovery/scheduling paths (tier-1.5), and the
-# project static-analysis suite (mdlint). Any failure fails the gate.
+# cost order: compile, vet, gofmt, the whole test suite, the benchmark
+# module's vet and self-tests, the race-detector pass over the
+# sharded/recovery/scheduling paths (tier-1.5), and the project
+# static-analysis suite (mdlint). Any failure fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,6 +24,12 @@ fi
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> perfbench: go vet + self-tests (offline, as perfbench/run.sh builds it)"
+# The benchmark is its own module compiled against this one, so an API
+# change that breaks its build fails here rather than in a benchmark run.
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOSUMDB=off \
+    GOTOOLCHAIN=local GOWORK=off && go vet ./... && go test ./...)
 
 echo "==> go test -race (tier-1.5: md, parallel, faults, fsys, guard, fleet, mdrun, serve, chaos)"
 go test -race -short ./internal/md/... ./internal/parallel/... \
