@@ -610,6 +610,100 @@ func BenchmarkPressure(b *testing.B) {
 	}
 }
 
+// BenchmarkPairKernels times each serial host pair kernel on one
+// 4000-atom FCC state and reports ns_per_pair: wall time per candidate
+// pair the kernel examines (minimum image, r², cutoff test), inside r_c
+// or not. Lists and the float32 mirror are built before the timer
+// starts, so the pairlist arms time the staleness check and the pair
+// loop; the cellgrid arms include the O(N) grid rebuild every call
+// makes. Set BENCH_JSON=<path> to append JSON-Lines records.
+func BenchmarkPairKernels(b *testing.B) {
+	sink := report.NewBenchSink()
+	defer appendBenchJSON(b, sink)
+
+	const n, skin = 4000, 0.4
+	st, err := lattice.Generate(lattice.Config{
+		N: n, Density: 0.8442, Temperature: 0.728, Kind: lattice.FCC, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := md.Params[float64]{Box: st.Box, Cutoff: 2.5, Dt: 0.004}
+	pos := md.CoordsFromV3(st.Pos)
+	acc := md.MakeCoords[float64](n)
+	mx, err := md.NewMirror32(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mx.Refresh(pos)
+	nl64, err := md.NewNeighborList[float64](skin)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl64.Build(p, pos)
+	nl32, err := md.NewNeighborList[float32](skin)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl32.Build(mx.P, mx.Pos)
+	cl64, err := md.NewCellList(p.Box, p.Cutoff)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl32, err := md.NewCellList(mx.P.Box, mx.P.Cutoff)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	arms := []struct {
+		name  string
+		pairs int64
+		eval  func()
+	}{
+		{"direct", n * (n - 1) / 2, func() { md.ComputeForces(p, pos, acc) }},
+		{"pairlist", int64(nl64.PairCount()), func() { nl64.Forces(p, pos, acc) }},
+		{"cellgrid", halfShellCandidates(cl64, pos), func() { cl64.Forces(p, pos, acc) }},
+		{"pairlist-f32", int64(nl32.PairCount()), func() { md.ForcesPairlistMixed(nl32, mx.P, mx.Pos, acc) }},
+		{"cellgrid-f32", halfShellCandidates(cl32, mx.Pos), func() { md.ForcesCellMixed(cl32, mx.P, mx.Pos, acc) }},
+	}
+	for _, arm := range arms {
+		b.Run(fmt.Sprintf("%s/n%d", arm.name, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				arm.eval()
+			}
+			b.StopTimer()
+			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			nsPerPair := perOp / float64(arm.pairs)
+			b.ReportMetric(nsPerPair, "ns_per_pair")
+			sink.Record(fmt.Sprintf("PairKernels/%s_n%d", arm.name, n), map[string]float64{
+				"ns_per_op": perOp, "ns_per_pair": nsPerPair, "pairs": float64(arm.pairs),
+			})
+		})
+	}
+}
+
+// halfShellCandidates builds cl over pos and counts the pairs the
+// serial cell kernel examines: each atom against every other atom of
+// its 27-cell shell, halved, because the half shell meets each
+// unordered pair of adjacent-cell atoms once.
+func halfShellCandidates[T vec.Float](cl *md.CellList[T], pos md.Coords[T]) int64 {
+	cl.Build(pos)
+	occ := make([]int64, cl.NumCells())
+	for c := range occ {
+		for i := cl.Head(c); i >= 0; i = cl.Next(i) {
+			occ[c]++
+		}
+	}
+	var ordered int64
+	buf := make([]int, 27)
+	for c, nc := range occ {
+		for _, s := range cl.NeighborCells(c, buf) {
+			ordered += nc * occ[s]
+		}
+	}
+	return (ordered - int64(pos.Len())) / 2
+}
+
 // BenchmarkMixedPrecision compares the mixed-precision float32 host
 // fast path (float32 pair geometry, float64 accumulation) against the
 // all-float64 kernels it shadows: the Verlet-list kernel serial and

@@ -291,25 +291,51 @@ func (cl *CellList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 // and accumulation at width A, as in ForcesPairRange; acc is
 // accumulated into, not cleared.
 func cellForces[T, A vec.Float](cl *CellList[T], p Params[T], pos Coords[T], acc Coords[A]) A {
-	rc2 := p.Cutoff * p.Cutoff
+	lj := NewLJTerms(p)
+	rc2, box, h := p.Cutoff*p.Cutoff, p.Box, p.Box/2
+	n := pos.Len()
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
+	heads, next := cl.heads, cl.next[:n]
 	var pe A
+	var nbr [len(halfNeighborOffsets)]int32 // heads of the 13 half-shell cells
 	d := cl.dims
 	for cx := 0; cx < d; cx++ {
 		for cy := 0; cy < d; cy++ {
 			for cz := 0; cz < d; cz++ {
 				c := (cx*d+cy)*d + cz
-				for i := cl.heads[c]; i >= 0; i = cl.next[i] {
-					pi := pos.At(int(i))
-					// Within the home cell: pairs i<j only.
-					for j := cl.next[i]; j >= 0; j = cl.next[j] {
-						pe += cellPair(p, rc2, pos, acc, int(i), int(j), pi)
-					}
-					// Half of the 26 neighbor cells (to visit each
-					// unordered cell pair once).
-					for _, off := range halfNeighborOffsets {
-						nc := cl.wrapCell(cx+off[0], cy+off[1], cz+off[2])
-						for j := cl.heads[nc]; j >= 0; j = cl.next[j] {
-							pe += cellPair(p, rc2, pos, acc, int(i), int(j), pi)
+				if heads[c] < 0 {
+					continue
+				}
+				for k, off := range halfNeighborOffsets {
+					nbr[k] = heads[cl.wrapCell(cx+off[0], cy+off[1], cz+off[2])]
+				}
+				for i := heads[c]; i >= 0; i = next[i] {
+					xi, yi, zi := x[i], y[i], z[i]
+					// The later atoms of the home cell, then every atom
+					// of each half-shell cell, in that order.
+					j := next[i]
+					for k := -1; k < len(nbr); k++ {
+						if k >= 0 {
+							j = nbr[k]
+						}
+						for ; j >= 0; j = next[j] {
+							dx := MinImageAxis(xi-x[j], box, h)
+							dy := MinImageAxis(yi-y[j], box, h)
+							dz := MinImageAxis(zi-z[j], box, h)
+							r2 := dx*dx + dy*dy + dz*dz
+							if r2 >= rc2 || r2 == 0 {
+								continue
+							}
+							v, f := lj.Pair(r2)
+							pe += A(v)
+							fx, fy, fz := A(dx*f), A(dy*f), A(dz*f)
+							ax[i] += fx
+							ay[i] += fy
+							az[i] += fz
+							ax[j] -= fx
+							ay[j] -= fy
+							az[j] -= fz
 						}
 					}
 				}
@@ -317,26 +343,6 @@ func cellForces[T, A vec.Float](cl *CellList[T], p Params[T], pos Coords[T], acc
 		}
 	}
 	return pe
-}
-
-// cellPair applies one i-j interaction with the minimum image at width
-// T, folds the pair force into acc at width A, and returns the pair
-// energy at width A.
-func cellPair[T, A vec.Float](p Params[T], rc2 T, pos Coords[T], acc Coords[A], i, j int, pi vec.V3[T]) A {
-	dv := MinImage(pi.Sub(pos.At(j)), p.Box)
-	r2 := dv.Norm2()
-	if r2 >= rc2 || r2 == 0 {
-		return 0
-	}
-	v, f := LJPair(p, r2)
-	fx, fy, fz := A(dv.X*f), A(dv.Y*f), A(dv.Z*f)
-	acc.X[i] += fx
-	acc.Y[i] += fy
-	acc.Z[i] += fz
-	acc.X[j] -= fx
-	acc.Y[j] -= fy
-	acc.Z[j] -= fz
-	return A(v)
 }
 
 // wrapCell folds a (possibly negative or overflowing) cell coordinate

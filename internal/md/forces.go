@@ -10,25 +10,48 @@ import "repro/internal/vec"
 //	f(r)  = 24ε[2(σ/r)¹² − (σ/r)⁶] / r²
 //
 // Callers are responsible for the cutoff test; LJPair assumes r2 > 0.
+// Kernels build the LJTerms once per call instead.
 func LJPair[T vec.Float](p Params[T], r2 T) (v, f T) {
-	eps, sig := p.Epsilon1(), p.Sigma1()
-	sr2 := sig * sig / r2
-	sr6 := sr2 * sr2 * sr2
-	sr12 := sr6 * sr6
-	v = 4 * eps * (sr12 - sr6)
-	f = 24 * eps * (2*sr12 - sr6) / r2
-	if p.Shifted {
-		v -= ljShift(p)
-	}
-	return v, f
+	return NewLJTerms(p).Pair(r2)
 }
 
-// ljShift returns V(r_c) for the unshifted potential.
-func ljShift[T vec.Float](p Params[T]) T {
+// LJTerms holds the Lennard-Jones constants of Params that do not
+// depend on the pair: σ², 4ε, 24ε and, for the shifted potential,
+// V(r_c). A kernel builds it once per call, so its per-pair work is
+// only the r²-dependent part of the formula. Pair performs the same
+// operations in the same order as the formula written out in full, so
+// hoisting the constants changes no result bit.
+type LJTerms[T vec.Float] struct {
+	Sig2, Eps4, Eps24 T
+	Shift             T // V(r_c) of the unshifted potential; 0 unless Shifted
+	Shifted           bool
+}
+
+// NewLJTerms derives the pair constants of p, applying the zero-value
+// defaults of ε and σ.
+func NewLJTerms[T vec.Float](p Params[T]) LJTerms[T] {
 	eps, sig := p.Epsilon1(), p.Sigma1()
-	sr2 := sig * sig / (p.Cutoff * p.Cutoff)
+	lj := LJTerms[T]{Sig2: sig * sig, Eps4: 4 * eps, Eps24: 24 * eps}
+	if p.Shifted {
+		// Pair runs before Shifted is set, so this is the unshifted V(r_c).
+		lj.Shift, _ = lj.Pair(p.Cutoff * p.Cutoff)
+		lj.Shifted = true
+	}
+	return lj
+}
+
+// Pair returns LJPair's v and f for a squared distance r2 > 0. It is
+// the one pair body every host kernel inlines.
+func (lj LJTerms[T]) Pair(r2 T) (v, f T) {
+	sr2 := lj.Sig2 / r2
 	sr6 := sr2 * sr2 * sr2
-	return 4 * eps * (sr6*sr6 - sr6)
+	sr12 := sr6 * sr6
+	v = lj.Eps4 * (sr12 - sr6)
+	f = lj.Eps24 * (2*sr12 - sr6) / r2
+	if lj.Shifted {
+		v -= lj.Shift
+	}
+	return v, f
 }
 
 // MinImage returns the minimum-image displacement of d in a cubic
@@ -38,20 +61,20 @@ func ljShift[T vec.Float](p Params[T]) T {
 // each component in (-box, box).
 func MinImage[T vec.Float](d vec.V3[T], box T) vec.V3[T] {
 	h := box / 2
-	if d.X > h {
-		d.X -= box
-	} else if d.X < -h {
-		d.X += box
-	}
-	if d.Y > h {
-		d.Y -= box
-	} else if d.Y < -h {
-		d.Y += box
-	}
-	if d.Z > h {
-		d.Z -= box
-	} else if d.Z < -h {
-		d.Z += box
+	d.X = MinImageAxis(d.X, box, h)
+	d.Y = MinImageAxis(d.Y, box, h)
+	d.Z = MinImageAxis(d.Z, box, h)
+	return d
+}
+
+// MinImageAxis is MinImage along one axis: d in (-box, box) folded
+// into [-h, h], where h is box/2. The kernels call it on their plane
+// differences directly.
+func MinImageAxis[T vec.Float](d, box, h T) T {
+	if d > h {
+		return d - box
+	} else if d < -h {
+		return d + box
 	}
 	return d
 }
@@ -112,22 +135,31 @@ func MinImage27[T vec.Float](d vec.V3[T], box T) vec.V3[T] {
 // energy. This is the double loop every device in the paper offloads.
 func ComputeForces[T vec.Float](p Params[T], pos Coords[T], acc Coords[T]) T {
 	acc.Zero()
-	rc2 := p.Cutoff * p.Cutoff
-	var pe T
+	lj := NewLJTerms(p)
+	rc2, box, h := p.Cutoff*p.Cutoff, p.Box, p.Box/2
 	n := pos.Len()
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
+	var pe T
 	for i := 0; i < n; i++ {
-		pi := pos.At(i)
+		xi, yi, zi := x[i], y[i], z[i]
 		for j := i + 1; j < n; j++ {
-			d := MinImage(pi.Sub(pos.At(j)), p.Box)
-			r2 := d.Norm2()
+			dx := MinImageAxis(xi-x[j], box, h)
+			dy := MinImageAxis(yi-y[j], box, h)
+			dz := MinImageAxis(zi-z[j], box, h)
+			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			v, f := LJPair(p, r2)
+			v, f := lj.Pair(r2)
 			pe += v
-			fd := d.Scale(f)
-			acc.Add(i, fd)
-			acc.Sub(j, fd)
+			fx, fy, fz := dx*f, dy*f, dz*f
+			ax[i] += fx
+			ay[i] += fy
+			az[i] += fz
+			ax[j] -= fx
+			ay[j] -= fy
+			az[j] -= fz
 		}
 	}
 	return pe
@@ -150,27 +182,33 @@ func ComputeForcesFullCount[T vec.Float](p Params[T], pos Coords[T], acc Coords[
 // ComputeForcesFullCount runs it over every row; the parallel engine
 // runs it once per atom-range shard.
 func ForcesFullRows[T vec.Float](p Params[T], pos, acc Coords[T], lo, hi int) (pe T, pairs int64) {
-	rc2 := p.Cutoff * p.Cutoff
+	lj := NewLJTerms(p)
+	rc2, box, h := p.Cutoff*p.Cutoff, p.Box, p.Box/2
 	n := pos.Len()
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
 	for i := lo; i < hi; i++ {
-		pi := pos.At(i)
-		var ai vec.V3[T]
-		var pei T
+		xi, yi, zi := x[i], y[i], z[i]
+		var aix, aiy, aiz, pei T
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			d := MinImage(pi.Sub(pos.At(j)), p.Box)
-			r2 := d.Norm2()
+			dx := MinImageAxis(xi-x[j], box, h)
+			dy := MinImageAxis(yi-y[j], box, h)
+			dz := MinImageAxis(zi-z[j], box, h)
+			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
 			pairs++
-			v, f := LJPair(p, r2)
+			v, f := lj.Pair(r2)
 			pei += v
-			ai = ai.Add(d.Scale(f))
+			aix += dx * f
+			aiy += dy * f
+			aiz += dz * f
 		}
-		acc.Set(i, ai)
+		ax[i], ay[i], az[i] = aix, aiy, aiz
 		pe += pei
 	}
 	return pe, pairs

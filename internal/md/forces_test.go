@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/vec"
+	"repro/internal/xrand"
 )
 
 // testParams is a typical reduced-units setup with the cutoff safely
@@ -166,6 +167,129 @@ func TestLJPairCustomEpsilonSigma(t *testing.T) {
 	}
 	if math.Abs(f) > 1e-12 {
 		t.Fatalf("f(r0) = %v, want 0", f)
+	}
+}
+
+// ljPairOracle is the pair formula with every constant recomputed from
+// p on each call, as LJPair computed it before the kernels hoisted the
+// constants into LJTerms. The shift is V(r_c) of the unshifted
+// potential, written out in full.
+func ljPairOracle[T vec.Float](p Params[T], r2 T) (v, f T) {
+	eps, sig := p.Epsilon1(), p.Sigma1()
+	sr2 := sig * sig / r2
+	sr6 := sr2 * sr2 * sr2
+	sr12 := sr6 * sr6
+	v = 4 * eps * (sr12 - sr6)
+	f = 24 * eps * (2*sr12 - sr6) / r2
+	if p.Shifted {
+		sc2 := sig * sig / (p.Cutoff * p.Cutoff)
+		sc6 := sc2 * sc2 * sc2
+		v -= 4 * eps * (sc6*sc6 - sc6)
+	}
+	return v, f
+}
+
+// minImageOracle is MinImage as written before the scalar form was
+// factored out: the branch per axis, inline.
+func minImageOracle[T vec.Float](d vec.V3[T], box T) vec.V3[T] {
+	h := box / 2
+	if d.X > h {
+		d.X -= box
+	} else if d.X < -h {
+		d.X += box
+	}
+	if d.Y > h {
+		d.Y -= box
+	} else if d.Y < -h {
+		d.Y += box
+	}
+	if d.Z > h {
+		d.Z -= box
+	} else if d.Z < -h {
+		d.Z += box
+	}
+	return d
+}
+
+// nextToward returns the representable value of T next to x in the
+// direction of y.
+func nextToward[T vec.Float](x, y T) T {
+	switch any(x).(type) {
+	case float32:
+		return T(math.Nextafter32(float32(x), float32(y)))
+	default:
+		return T(math.Nextafter(float64(x), float64(y)))
+	}
+}
+
+// sameBits reports whether a and b have the same bit pattern; widening
+// to float64 is exact, so it keeps every float32 pattern distinct.
+func sameBits[T vec.Float](a, b T) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// TestLJTermsMatchPairFormula pins the hoisted pair body and the scalar
+// minimum image bitwise against the formulas they replace, at both
+// widths: LJTerms.Pair against ljPairOracle, shifted or not, with
+// default and non-unit ε/σ, for r² up to r_c² and one ulp either side
+// of it; MinImage against three MinImageAxis calls at ±h, ±0, ±(box−ulp)
+// and random displacements in (−box, box), and both against the
+// branch form written out per axis.
+func TestLJTermsMatchPairFormula(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { checkLJTerms[float64](t) })
+	t.Run("float32", func(t *testing.T) { checkLJTerms[float32](t) })
+}
+
+func checkLJTerms[T vec.Float](t *testing.T) {
+	box, cutoff := T(9.5), T(2.5)
+	rc2 := cutoff * cutoff
+	var r2s []T
+	for r2 := T(0.5); r2 < rc2; r2 += 0.0137 {
+		r2s = append(r2s, r2)
+	}
+	r2s = append(r2s, nextToward(rc2, 0), rc2, nextToward(rc2, 2*rc2))
+	for _, shifted := range []bool{false, true} {
+		for _, es := range [][2]T{{0, 0}, {1.3, 0.95}} {
+			p := Params[T]{Box: box, Cutoff: cutoff, Dt: 0.004, Epsilon: es[0], Sigma: es[1], Shifted: shifted}
+			lj := NewLJTerms(p)
+			for _, r2 := range r2s {
+				v, f := lj.Pair(r2)
+				wv, wf := ljPairOracle(p, r2)
+				if !sameBits(v, wv) || !sameBits(f, wf) {
+					t.Fatalf("shifted=%v ε,σ=%v r2=%v: Pair = (%v, %v), formula = (%v, %v)",
+						shifted, es, r2, v, f, wv, wf)
+				}
+				if lv, lf := LJPair(p, r2); !sameBits(lv, wv) || !sameBits(lf, wf) {
+					t.Fatalf("shifted=%v ε,σ=%v r2=%v: LJPair = (%v, %v), formula = (%v, %v)",
+						shifted, es, r2, lv, lf, wv, wf)
+				}
+			}
+		}
+	}
+
+	h := box / 2
+	ulp := box - nextToward(box, 0)
+	special := []T{h, -h, 0, T(math.Copysign(0, -1)), box - ulp, -(box - ulp)}
+	rng := xrand.New(17)
+	random := func() T { return T((2*rng.Float64() - 1) * float64(box-ulp)) }
+	check := func(d vec.V3[T]) {
+		got := MinImage(d, box)
+		axes := vec.V3[T]{X: MinImageAxis(d.X, box, h), Y: MinImageAxis(d.Y, box, h), Z: MinImageAxis(d.Z, box, h)}
+		want := minImageOracle(d, box)
+		for _, v := range []vec.V3[T]{got, axes} {
+			if !sameBits(v.X, want.X) || !sameBits(v.Y, want.Y) || !sameBits(v.Z, want.Z) {
+				t.Fatalf("MinImage(%v) = %v, axis calls give %v, branch form %v", d, got, axes, want)
+			}
+		}
+	}
+	for _, a := range special {
+		for _, b := range special {
+			check(vec.V3[T]{X: a, Y: b, Z: random()})
+			check(vec.V3[T]{X: random(), Y: a, Z: b})
+		}
+	}
+	for k := 0; k < 2000; k++ {
+		check(vec.V3[T]{X: random(), Y: random(), Z: random()})
 	}
 }
 

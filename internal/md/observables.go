@@ -164,6 +164,7 @@ func Virial(p Params[float64], pos Coords[float64]) float64 {
 // virialN2 is Virial at any width: the fallback VirialScratch shares
 // with the oracle.
 func virialN2[T vec.Float](p Params[T], pos Coords[T]) T {
+	lj := NewLJTerms(p)
 	rc2 := p.Cutoff * p.Cutoff
 	var w T
 	n := pos.Len()
@@ -174,7 +175,7 @@ func virialN2[T vec.Float](p Params[T], pos Coords[T]) T {
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			_, f := LJPair(p, r2)
+			_, f := lj.Pair(r2)
 			w += f * r2 // f*(r vector)·(r vector) = f*r²
 		}
 	}
@@ -229,6 +230,7 @@ func (vs *VirialScratch[T]) Virial(p Params[T], pos Coords[T]) T {
 	grid.reinit(p.Box, dims)
 	grid.BinWrapped(pos)
 	order, packed := grid.order, grid.packed
+	lj := NewLJTerms(p)
 	rc2 := p.Cutoff * p.Cutoff
 	var w T
 	var cellbuf [27]int
@@ -252,7 +254,7 @@ func (vs *VirialScratch[T]) Virial(p Params[T], pos Coords[T]) T {
 		for _, j := range row {
 			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
 			r2 := d.Norm2()
-			_, f := LJPair(p, r2)
+			_, f := lj.Pair(r2)
 			w += f * r2
 		}
 		vs.row = row

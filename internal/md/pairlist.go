@@ -215,11 +215,16 @@ func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], grid *CellList[T
 	row := nl.pairs[i][:0]
 	rl := p.Cutoff + nl.Skin
 	rl2 := rl * rl
-	pi := pos.At(i)
+	box, h := p.Box, p.Box/2
+	n := pos.Len()
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	xi, yi, zi := x[i], y[i], z[i]
 	if grid == nil {
-		for j := i + 1; j < pos.Len(); j++ {
-			d := MinImage(pi.Sub(pos.At(j)), p.Box)
-			if d.Norm2() < rl2 {
+		for j := i + 1; j < n; j++ {
+			dx := MinImageAxis(xi-x[j], box, h)
+			dy := MinImageAxis(yi-y[j], box, h)
+			dz := MinImageAxis(zi-z[j], box, h)
+			if dx*dx+dy*dy+dz*dz < rl2 {
 				row = append(row, int32(j))
 			}
 		}
@@ -227,8 +232,10 @@ func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], grid *CellList[T
 		return
 	}
 	var cellbuf [27]int
-	order, packed := grid.order, grid.packed
-	for _, c := range grid.NeighborCells(grid.CellOfWrapped(pi), cellbuf[:]) {
+	order := grid.order
+	px, py, pz := grid.packed.X[:len(order)], grid.packed.Y[:len(order)], grid.packed.Z[:len(order)]
+	home := grid.CellOfWrapped(vec.V3[T]{X: xi, Y: yi, Z: zi})
+	for _, c := range grid.NeighborCells(home, cellbuf[:]) {
 		lo, hi := grid.CellSpan(c)
 		// order is ascending within the run, so the j <= i prefix ends at
 		// the first index past i; everything after it needs only the
@@ -238,8 +245,10 @@ func (nl *NeighborList[T]) BuildRow(p Params[T], pos Coords[T], grid *CellList[T
 			k++
 		}
 		for ; k < hi; k++ {
-			d := MinImage(pi.Sub(packed.At(int(k))), p.Box)
-			if d.Norm2() < rl2 {
+			dx := MinImageAxis(xi-px[k], box, h)
+			dy := MinImageAxis(yi-py[k], box, h)
+			dz := MinImageAxis(zi-pz[k], box, h)
+			if dx*dx+dy*dy+dz*dz < rl2 {
 				row = append(row, order[k])
 			}
 		}
@@ -265,14 +274,20 @@ func (nl *NeighborList[T]) EndBuild(pos Coords[T]) {
 // Stale reports whether any atom has moved more than Skin/2 since the
 // last build (in which case the list can no longer be trusted).
 func (nl *NeighborList[T]) Stale(p Params[T], pos Coords[T]) bool {
-	if nl.ref.Len() != pos.Len() {
+	n := pos.Len()
+	if nl.ref.Len() != n {
 		return true
 	}
 	limit := nl.Skin / 2
 	limit2 := limit * limit
-	for i := 0; i < pos.Len(); i++ {
-		d := MinImage(pos.At(i).Sub(nl.ref.At(i)), p.Box)
-		if d.Norm2() > limit2 {
+	box, h := p.Box, p.Box/2
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	rx, ry, rz := nl.ref.X[:n], nl.ref.Y[:n], nl.ref.Z[:n]
+	for i := 0; i < n; i++ {
+		dx := MinImageAxis(x[i]-rx[i], box, h)
+		dy := MinImageAxis(y[i]-ry[i], box, h)
+		dz := MinImageAxis(z[i]-rz[i], box, h)
+		if dx*dx+dy*dy+dz*dz > limit2 {
 			return true
 		}
 	}
@@ -308,7 +323,11 @@ func (nl *NeighborList[T]) Forces(p Params[T], pos Coords[T], acc Coords[T]) T {
 // with float32 geometry and float64 accumulation, and the parallel
 // engine once per worker's pair chunk into a private buffer.
 func ForcesPairRange[T, A vec.Float](nl *NeighborList[T], p Params[T], pos Coords[T], acc Coords[A], lo, hi int) A {
-	rc2 := p.Cutoff * p.Cutoff
+	lj := NewLJTerms(p)
+	rc2, box, h := p.Cutoff*p.Cutoff, p.Box, p.Box/2
+	n := pos.Len()
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
 	var pe A
 	start := 0 // flattened index of row i's first pair
 	for i := 0; i < len(nl.pairs) && start < hi; i++ {
@@ -320,22 +339,24 @@ func ForcesPairRange[T, A vec.Float](nl *NeighborList[T], p Params[T], pos Coord
 		}
 		js = js[max(lo, start)-start : min(hi, end)-start]
 		start = end
-		pi := pos.At(i)
+		xi, yi, zi := x[i], y[i], z[i]
 		for _, j := range js {
-			d := MinImage(pi.Sub(pos.At(int(j))), p.Box)
-			r2 := d.Norm2()
+			dx := MinImageAxis(xi-x[j], box, h)
+			dy := MinImageAxis(yi-y[j], box, h)
+			dz := MinImageAxis(zi-z[j], box, h)
+			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
-			v, f := LJPair(p, r2)
+			v, f := lj.Pair(r2)
 			pe += A(v)
-			fx, fy, fz := A(d.X*f), A(d.Y*f), A(d.Z*f)
-			acc.X[i] += fx
-			acc.Y[i] += fy
-			acc.Z[i] += fz
-			acc.X[j] -= fx
-			acc.Y[j] -= fy
-			acc.Z[j] -= fz
+			fx, fy, fz := A(dx*f), A(dy*f), A(dz*f)
+			ax[i] += fx
+			ay[i] += fy
+			az[i] += fz
+			ax[j] -= fx
+			ay[j] -= fy
+			az[j] -= fz
 		}
 	}
 	return pe

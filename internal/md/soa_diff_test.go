@@ -76,7 +76,7 @@ type soaCase struct {
 }
 
 // soaShiftedLJ is the non-default potential of the shifted cases: the
-// cutoff shift on and ε, σ away from 1, so the ljShift branch and the
+// cutoff shift on and ε, σ away from 1, so the shift branch and the
 // ε/σ scaling of every kernel are pinned bitwise too.
 const (
 	soaShiftEpsilon = 1.3

@@ -42,9 +42,9 @@ func (e *Engine[T]) BuildPairlistF32(ctx context.Context, nl *md.NeighborList[fl
 // TryForcesPairlistF32 evaluates LJ forces over a float32 neighbor
 // list with atom-range sharding and full-row gather: pair geometry
 // and the LJ evaluation run at float32, each atom's force and energy
-// accumulate in float64 (vec.AccumAdd / vec.Widen), and the total
-// energy is a fixed-shape float64 tree reduction over the per-atom
-// partials. The list is rebuilt first if stale (sharded, bitwise
+// accumulate in float64 (each pair term widened exactly by
+// vec.Widen), and the total energy is a fixed-shape float64 tree
+// reduction over the per-atom partials. The list is rebuilt first if stale (sharded, bitwise
 // sharding-independent). acc is overwritten; the return value is the
 // float64 potential energy. Output bytes — acc and the energy — are
 // identical for every worker count. A worker panic surfaces as an
@@ -61,24 +61,30 @@ func (e *Engine[T]) TryForcesPairlistF32(nl *md.NeighborList[float32], p md.Para
 		e.pe64 = make([]float64, n)
 	}
 	e.pe64 = e.pe64[:n]
-	rc2 := p.Cutoff * p.Cutoff
+	lj := md.NewLJTerms(p)
+	rc2, box, h := p.Cutoff*p.Cutoff, p.Box, p.Box/2
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
 	err := e.run(func(w int) {
 		lo, hi := e.shardRange(n, w)
 		for i := lo; i < hi; i++ {
-			pi := pos.At(i)
-			var ai vec.V3[float64]
-			var pei float64
+			xi, yi, zi := x[i], y[i], z[i]
+			var aix, aiy, aiz, pei float64
 			for _, j := range e.full32.Row(i) {
-				d := md.MinImage(pi.Sub(pos.At(int(j))), p.Box)
-				r2 := d.Norm2()
+				dx := md.MinImageAxis(xi-x[j], box, h)
+				dy := md.MinImageAxis(yi-y[j], box, h)
+				dz := md.MinImageAxis(zi-z[j], box, h)
+				r2 := dx*dx + dy*dy + dz*dz
 				if r2 >= rc2 || r2 == 0 {
 					continue
 				}
-				v, f := md.LJPair(p, r2)
+				v, f := lj.Pair(r2)
 				pei += vec.Widen(v)
-				ai = vec.AccumAdd(ai, d.Scale(f))
+				aix += vec.Widen(dx * f)
+				aiy += vec.Widen(dy * f)
+				aiz += vec.Widen(dz * f)
 			}
-			acc.Set(i, ai)
+			ax[i], ay[i], az[i] = aix, aiy, aiz
 			e.pe64[i] = pei
 		}
 	})

@@ -316,7 +316,11 @@ func (e *Engine[T]) forcesDirectCount(p md.Params[T], pos, acc md.Coords[T]) (T,
 func (e *Engine[T]) TryForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc md.Coords[T]) (T, error) {
 	cl.Build(pos)
 	ncells := cl.NumCells()
-	rc2 := p.Cutoff * p.Cutoff
+	lj := md.NewLJTerms(p)
+	rc2, box, h := p.Cutoff*p.Cutoff, p.Box, p.Box/2
+	n := pos.Len()
+	x, y, z := pos.X[:n], pos.Y[:n], pos.Z[:n]
+	ax, ay, az := acc.X[:n], acc.Y[:n], acc.Z[:n]
 	err := e.run(func(w int) {
 		lo, hi := e.shardRange(ncells, w)
 		sh := &e.shards[w]
@@ -330,25 +334,28 @@ func (e *Engine[T]) TryForcesCell(cl *md.CellList[T], p md.Params[T], pos, acc m
 			}
 			cells := cl.NeighborCells(c, sh.cellbuf)
 			for i := cl.Head(c); i >= 0; i = cl.Next(i) {
-				pi := pos.At(int(i))
-				var ai vec.V3[T]
-				var pei T
+				xi, yi, zi := x[i], y[i], z[i]
+				var aix, aiy, aiz, pei T
 				for _, nc := range cells {
 					for j := cl.Head(nc); j >= 0; j = cl.Next(j) {
 						if j == i {
 							continue
 						}
-						d := md.MinImage(pi.Sub(pos.At(int(j))), p.Box)
-						r2 := d.Norm2()
+						dx := md.MinImageAxis(xi-x[j], box, h)
+						dy := md.MinImageAxis(yi-y[j], box, h)
+						dz := md.MinImageAxis(zi-z[j], box, h)
+						r2 := dx*dx + dy*dy + dz*dz
 						if r2 >= rc2 || r2 == 0 {
 							continue
 						}
-						v, f := md.LJPair(p, r2)
+						v, f := lj.Pair(r2)
 						pei += v
-						ai = ai.Add(d.Scale(f))
+						aix += dx * f
+						aiy += dy * f
+						aiz += dz * f
 					}
 				}
-				acc.Set(int(i), ai)
+				ax[i], ay[i], az[i] = aix, aiy, aiz
 				pe += pei
 			}
 		}

@@ -53,6 +53,65 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 BENCH="$TMP/bench.json"
 
+echo "==> inlining gate (the shared pair body and scalar min image inline into every host pair kernel)"
+# The kernels are generic, so the compiler instantiates them in the
+# packages that use them; mdrun instantiates every one. A kernel whose
+# call to LJTerms.Pair or MinImageAxis is not inlined pays a function
+# call on every candidate pair, and its output bits stay the same, so
+# only this report shows it.
+INLINE="$TMP/inline.txt"
+go build -gcflags=-m ./internal/md ./internal/parallel ./internal/mdrun 2> "$INLINE"
+# inlined <file>:<func> <callee>: every line of <func> that calls
+# <callee> (MinImageAxis or LJTerms.Pair) has an "inlining call to"
+# report, and there is at least one such line.
+inlined() {
+    awk -v file="${1%%:*}" -v fn="${1#*:}" -v callee="$2" '
+        BEGIN {
+            call = "MinImageAxis[(]"; report = "MinImageAxis[[]"
+            if (callee == "LJTerms.Pair") { call = "[.]Pair[(]"; report = "LJTerms[[][^]]*[]][.]Pair" }
+        }
+        FNR == NR {
+            if (!start && $0 ~ ("^func ([(][^)]*[)] )?" fn "[[(]")) start = FNR
+            if (start && !end && /^}/) end = FNR
+            if (start && !end && $0 ~ call) want[FNR] = 1
+            next
+        }
+        index($0, file ":") == 1 && $0 ~ ("inlining call to (md[.])?" report) {
+            split($0, at, ":")
+            got[at[2]] = 1
+        }
+        END {
+            for (l in want) {
+                calls++
+                if (!(l in got)) {
+                    printf "verify: %s:%d: %s is not inlined into %s\n", file, l, callee, fn > "/dev/stderr"
+                    bad = 1
+                }
+            }
+            if (!calls) {
+                printf "verify: %s in %s does not call %s\n", fn, file, callee > "/dev/stderr"
+                bad = 1
+            }
+            exit bad
+        }' "${1%%:*}" "$INLINE"
+}
+for kernel in \
+    internal/md/forces.go:ComputeForces \
+    internal/md/forces.go:ForcesFullRows \
+    internal/md/pairlist.go:ForcesPairRange \
+    internal/md/celllist.go:cellForces \
+    internal/parallel/parallel.go:TryForcesCell \
+    internal/parallel/mixed.go:TryForcesPairlistF32; do
+    inlined "$kernel" MinImageAxis
+    inlined "$kernel" LJTerms.Pair
+done
+for kernel in \
+    internal/md/forces.go:MinImage \
+    internal/md/pairlist.go:BuildRow \
+    internal/md/pairlist.go:Stale; do
+    inlined "$kernel" MinImageAxis
+done
+
 echo "==> build mdlint once (gates below reuse the binary)"
 MDLINT="$TMP/mdlint"
 go build -o "$MDLINT" ./cmd/mdlint
